@@ -12,7 +12,7 @@
 //!    (the Fig. 17 policy comparison as a single table).
 
 use qoa_bench::{cell_chaos, cli, emit, harness, prewarm, Cli, NA};
-use qoa_core::harness::{best_nursery_cell, capture_cell, nursery_cells, nursery_spec, Harness};
+use qoa_core::harness::{best_nursery_cell, nursery_cells, nursery_spec, run_cell, Harness};
 use qoa_core::journal::{CellKey, CellMetrics, Metric};
 use qoa_core::report::{f2, f3, pct, Table};
 use qoa_core::runtime::{capture, RuntimeConfig};
@@ -20,7 +20,7 @@ use qoa_core::sweeps::{format_bytes, NURSERY_SIZES_SCALED};
 use qoa_core::SupervisedCell;
 use qoa_jit::JitConfig;
 use qoa_model::{Category, OpKind, RuntimeKind};
-use qoa_uarch::UarchConfig;
+use qoa_uarch::{TraceBuffer, UarchConfig};
 use qoa_workloads::by_name;
 
 fn main() {
@@ -75,10 +75,10 @@ fn prewarm_cells(cli: &Cli, h: &mut Harness) {
         let mkey = key.clone();
         specs.push(SupervisedCell::new(key, move |deadline| {
             let rt = RuntimeConfig::new(RuntimeKind::CPython).with_deadline(deadline);
-            let run = capture_cell(&w.source(scale), &rt, chaos, &mkey)?;
+            let (trace, ..) = run_cell(&w.source(scale), &rt, chaos, &mkey, TraceBuffer::new())?;
             let mut ccall_ops = 0u64;
             let mut ccall_indirect = 0u64;
-            for op in run.trace.ops() {
+            for op in trace.ops() {
                 if op.category == Category::CFunctionCall {
                     ccall_ops += 1;
                     if matches!(op.kind, OpKind::Call { indirect: true, .. } | OpKind::Ret) {
@@ -91,12 +91,12 @@ fn prewarm_cells(cli: &Cli, h: &mut Harness) {
             let mut cfg_huge = UarchConfig::skylake();
             cfg_huge.branch.btb_entries = 1 << 16;
             let mut m = CellMetrics::new();
-            m.insert("cpi_tiny".into(), Metric::Num(run.trace.simulate_ooo(&cfg_tiny).cpi()));
+            m.insert("cpi_tiny".into(), Metric::Num(trace.simulate_ooo(&cfg_tiny).cpi()));
             m.insert(
                 "cpi_base".into(),
-                Metric::Num(run.trace.simulate_ooo(&UarchConfig::skylake()).cpi()),
+                Metric::Num(trace.simulate_ooo(&UarchConfig::skylake()).cpi()),
             );
-            m.insert("cpi_huge".into(), Metric::Num(run.trace.simulate_ooo(&cfg_huge).cpi()));
+            m.insert("cpi_huge".into(), Metric::Num(trace.simulate_ooo(&cfg_huge).cpi()));
             m.insert(
                 "indirect_share".into(),
                 Metric::Num(ccall_indirect as f64 / ccall_ops.max(1) as f64),

@@ -10,12 +10,12 @@
 
 use qoa_bench::{cell_chaos, cli, emit, harness, limit, prewarm, NA};
 use qoa_core::benchsnap::{write_bench_json, BenchEntry};
-use qoa_core::harness::{capture_cell, CellChaos};
+use qoa_core::harness::{run_cell, CellChaos};
 use qoa_core::report::Table;
-use qoa_core::runtime::RuntimeConfig;
+use qoa_core::runtime::{CapturedRun, RuntimeConfig};
 use qoa_core::{Breakdown, CellKey, CellMetrics, Harness, Metric, QoaError, SupervisedCell};
 use qoa_model::{Category, CategoryMap, RuntimeKind};
-use qoa_uarch::UarchConfig;
+use qoa_uarch::{TraceBuffer, UarchConfig};
 use qoa_workloads::{Scale, Workload};
 
 /// Static and dynamic shares plus the guard-elision cycle pair for one
@@ -44,12 +44,12 @@ fn measure_static(
     let src = w.source(scale);
     let code = qoa_frontend::compile(&src)?;
     let stat = qoa_analysis::annotate::static_shares(&code);
-    let elided = capture_cell(&src, &rt.with_deadline(deadline), chaos, key)?;
-    let dyn_stats = elided.trace.simulate_simple(uarch);
+    let (elided, ..) = run_cell(&src, &rt.with_deadline(deadline), chaos, key, TraceBuffer::new())?;
+    let dyn_stats = elided.simulate_simple(uarch);
     let b = Breakdown::from_stats(w.name, &dyn_stats);
-    let guarded =
-        capture_cell(&src, &rt.with_check_elision(false).with_deadline(deadline), chaos, key)?;
-    let g_stats = guarded.trace.simulate_simple(uarch);
+    let guarded_rt = rt.with_check_elision(false).with_deadline(deadline);
+    let (guarded, ..) = run_cell(&src, &guarded_rt, chaos, key, TraceBuffer::new())?;
+    let g_stats = guarded.simulate_simple(uarch);
     let mut m = CellMetrics::new();
     m.insert("cycles.elided".into(), Metric::Int(dyn_stats.cycles as i64));
     m.insert("cycles.guarded".into(), Metric::Int(g_stats.cycles as i64));
@@ -188,7 +188,7 @@ fn measure_opt(
     for level in 0..=opt_level {
         let rtl = rt.with_opt_level(level).with_deadline(deadline);
         let t = std::time::Instant::now();
-        let run = capture_cell(&src, &rtl, chaos, key)?;
+        let run = run_cell(&src, &rtl, chaos, key, TraceBuffer::new()).map(CapturedRun::from)?;
         let wall = t.elapsed().as_nanos() as u64;
         let stats = run.trace.simulate_simple(uarch);
         m.insert(format!("cycles.opt{level}"), Metric::Int(stats.cycles as i64));

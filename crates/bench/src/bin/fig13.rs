@@ -3,16 +3,35 @@
 //! grows ~4.6x — from 3% to 14% — when the JIT removes mutator work).
 
 use qoa_bench::{cell_chaos, cli, emit, harness, limit, prewarm, NA};
-use qoa_core::harness::capture_cell;
+use qoa_core::harness::{run_cell, CellChaos};
 use qoa_core::journal::{CellKey, CellMetrics, Metric};
 use qoa_core::report::{pct, Table};
-use qoa_core::runtime::{capture, RuntimeConfig};
-use qoa_core::SupervisedCell;
+use qoa_core::runtime::RuntimeConfig;
+use qoa_core::{QoaError, SupervisedCell};
 // Fig. 13 uses a smaller scaled nursery so collections are frequent
 // enough to measure on laptop-scale workload instances.
 const FIG13_NURSERY: u64 = 256 << 10;
 use qoa_model::RuntimeKind;
-use qoa_uarch::UarchConfig;
+use qoa_uarch::{OooCore, UarchConfig};
+use qoa_workloads::{Scale, Workload};
+use std::time::Instant;
+
+/// One Fig. 13 cell: the run streams straight into the OOO core.
+fn measure(
+    w: &Workload,
+    scale: Scale,
+    kind: RuntimeKind,
+    uarch: &UarchConfig,
+    deadline: Option<Instant>,
+    chaos: Option<CellChaos>,
+    key: &CellKey,
+) -> Result<CellMetrics, QoaError> {
+    let rt = RuntimeConfig::new(kind).with_nursery(FIG13_NURSERY).with_deadline(deadline);
+    let (core, ..) = run_cell(&w.source(scale), &rt, chaos, key, OooCore::new(uarch))?;
+    let mut m = CellMetrics::new();
+    m.insert("gc_share".into(), Metric::Num(core.finish().gc_share()));
+    Ok(m)
+}
 
 fn main() {
     let cli = cli();
@@ -33,14 +52,7 @@ fn main() {
             let uarch = uarch.clone();
             let scale = cli.scale;
             specs.push(SupervisedCell::new(key, move |deadline| {
-                let rt = RuntimeConfig::new(kind)
-                    .with_nursery(FIG13_NURSERY)
-                    .with_deadline(deadline);
-                let run = capture_cell(&w.source(scale), &rt, chaos, &mkey)?;
-                let stats = run.trace.simulate_ooo(&uarch);
-                let mut m = CellMetrics::new();
-                m.insert("gc_share".into(), Metric::Num(stats.gc_share()));
-                Ok(m)
+                measure(w, scale, kind, &uarch, deadline, chaos, &mkey)
             }));
         }
     }
@@ -61,15 +73,9 @@ fn main() {
                 "nursery",
                 FIG13_NURSERY.to_string(),
             );
+            let mkey = key.clone();
             let metrics = h.cell(key, |deadline| {
-                let rt = RuntimeConfig::new(*kind)
-                    .with_nursery(FIG13_NURSERY)
-                    .with_deadline(deadline);
-                let run = capture(&w.source(cli.scale), &rt)?;
-                let stats = run.trace.simulate_ooo(&uarch);
-                let mut m = CellMetrics::new();
-                m.insert("gc_share".into(), Metric::Num(stats.gc_share()));
-                Ok(m)
+                measure(w, cli.scale, *kind, &uarch, deadline, None, &mkey)
             });
             shares[i] = metrics.and_then(|m| m.get("gc_share")?.as_f64());
             if let Some(s) = shares[i] {

@@ -1,12 +1,13 @@
 //! The chaos runner: deterministic fault injection with mid-run
 //! checkpoint/restore recovery.
 //!
-//! [`capture_chaos`] runs a workload exactly like
-//! [`crate::runtime::capture`], but with a [`FaultPlan`] armed and the
-//! machine driven step by step so it can be snapshotted every
-//! `checkpoint_every` bytecodes. When an *injected* fault surfaces, the
-//! runner restores the most recent [`Snapshot`] — interpreter, heap, JIT
-//! driver, *and* attribution state all rewind together — disarms the
+//! [`run_chaos_with_sink`] runs a workload exactly like
+//! [`crate::runtime::run_with_sink`], but with a [`FaultPlan`] armed and
+//! the machine driven step by step so it can be snapshotted every
+//! `checkpoint_every` bytecodes; [`capture_chaos`] is its trace-capturing
+//! form. When an *injected* fault surfaces, the runner restores the most
+//! recent [`Snapshot`] — interpreter, heap, JIT driver, *and* the sink
+//! (trace or core model) all rewind together — disarms the
 //! consumed fault point, and resumes. Because execution is deterministic
 //! (the fault clock counts simulated steps, never wall time), the
 //! recovered run re-executes the rewound span identically and finishes
@@ -19,14 +20,12 @@
 
 use crate::error::QoaError;
 use crate::journal::{CellMetrics, Metric};
-use crate::runtime::{CapturedRun, RuntimeConfig};
-use qoa_chaos::{ChaosState, FaultKind, FaultPlan, FaultRecord, Snapshot};
+use crate::runtime::{trace_sink, CapturedRun, Machine, RuntimeConfig, SinkRun};
+use qoa_chaos::{ChaosState, FaultKind, FaultPlan, Snapshot};
 use qoa_frontend::CodeObject;
-use qoa_jit::PyPyVm;
 use qoa_model::{OpSink, RuntimeKind};
 use qoa_obs::metrics::Registry;
-use qoa_uarch::{ExecutionStats, TraceBuffer, UarchConfig};
-use qoa_vm::{HeapMode, StepEvent, Vm, VmConfig, VmError};
+use qoa_uarch::{ExecutionStats, UarchConfig};
 use std::collections::BTreeMap;
 
 /// How to run a workload under fault injection.
@@ -158,65 +157,15 @@ impl ChaosOutcome {
     }
 }
 
-/// The step-drive interface [`capture_chaos`] needs from a machine: both
-/// [`Vm`] and [`PyPyVm`] provide it (with the whole machine `Clone`-able
-/// for snapshots).
-trait ChaosMachine: Clone {
-    /// Executes one driver step. `Ok(true)` when the program finished.
-    fn step_once(&mut self) -> Result<bool, VmError>;
-    /// Bytecodes executed so far.
-    fn steps(&self) -> u64;
-    /// Takes the record of the most recent injected fault.
-    fn take_injected(&mut self) -> Option<FaultRecord>;
-    /// The armed chaos state.
-    fn chaos_mut(&mut self) -> Option<&mut ChaosState>;
-}
-
-impl<S: OpSink + Clone> ChaosMachine for Vm<S> {
-    fn step_once(&mut self) -> Result<bool, VmError> {
-        Ok(matches!(self.step()?, StepEvent::Done))
-    }
-
-    fn steps(&self) -> u64 {
-        Vm::steps(self)
-    }
-
-    fn take_injected(&mut self) -> Option<FaultRecord> {
-        Vm::take_injected(self)
-    }
-
-    fn chaos_mut(&mut self) -> Option<&mut ChaosState> {
-        Vm::chaos_mut(self)
-    }
-}
-
-impl<S: OpSink + Clone> ChaosMachine for PyPyVm<S> {
-    fn step_once(&mut self) -> Result<bool, VmError> {
-        self.step_driver()
-    }
-
-    fn steps(&self) -> u64 {
-        PyPyVm::steps(self)
-    }
-
-    fn take_injected(&mut self) -> Option<FaultRecord> {
-        PyPyVm::take_injected(self)
-    }
-
-    fn chaos_mut(&mut self) -> Option<&mut ChaosState> {
-        self.vm.chaos_mut()
-    }
-}
-
 /// Drives `machine` to completion, checkpointing every `every` bytecodes
 /// and recovering injected faults by restore-and-disarm.
-fn drive<M: ChaosMachine>(
-    mut machine: M,
+fn drive<S: OpSink + Clone>(
+    mut machine: Machine<S>,
     every: u64,
     out: &mut ChaosOutcome,
-) -> Result<M, QoaError> {
+) -> Result<Machine<S>, QoaError> {
     let every = every.max(1);
-    let mut snap: Option<Snapshot<M>> = None;
+    let mut snap: Option<Snapshot<Machine<S>>> = None;
     // Every fault point recovered so far. A snapshot captured *before* a
     // fault fired knows nothing of its consumption, so each restore must
     // re-disarm the full set — otherwise two faults inside one checkpoint
@@ -226,7 +175,7 @@ fn drive<M: ChaosMachine>(
         // Checkpoint only while unconsumed fault points remain: once the
         // plan is exhausted nothing can trigger a restore, so further
         // snapshots would be pure overhead.
-        let pending = machine.chaos_mut().is_some_and(|c| !c.exhausted());
+        let pending = machine.vm_mut().chaos_mut().is_some_and(|c| !c.exhausted());
         let due = match &snap {
             None => true,
             Some(s) => machine.steps().saturating_sub(s.steps()) >= every,
@@ -235,12 +184,12 @@ fn drive<M: ChaosMachine>(
             snap = Some(Snapshot::capture(machine.steps(), &machine));
             out.checkpoints_written += 1;
         }
-        match machine.step_once() {
+        match machine.step() {
             Ok(true) => {
                 // Degrade-mode recoveries happened inside the machine;
                 // fold them into the counters before the machine is
                 // consumed for extraction.
-                if let Some(chaos) = machine.chaos_mut() {
+                if let Some(chaos) = machine.vm_mut().chaos_mut() {
                     let n = chaos.in_vm_recoveries();
                     if n > 0 {
                         *out.injected.entry("jit").or_insert(0) += n;
@@ -250,7 +199,7 @@ fn drive<M: ChaosMachine>(
                 return Ok(machine);
             }
             Ok(false) => {}
-            Err(e) => match machine.take_injected() {
+            Err(e) => match machine.vm_mut().take_injected() {
                 Some(rec) => {
                     // A fault can only fire during a step, and a snapshot
                     // is guaranteed before any step with pending faults;
@@ -259,7 +208,7 @@ fn drive<M: ChaosMachine>(
                         return Err(QoaError::Injected { what: rec.kind.name(), steps: rec.tick });
                     };
                     disarmed.push(rec.index);
-                    if let Some(chaos) = restored.chaos_mut() {
+                    if let Some(chaos) = restored.vm_mut().chaos_mut() {
                         for &i in &disarmed {
                             chaos.disarm(i);
                         }
@@ -303,7 +252,10 @@ pub fn fault_kinds_for(kind: RuntimeKind) -> &'static [FaultKind] {
 /// recovering injected faults so that — when the run completes — the
 /// captured trace is byte-identical to a fault-free [`capture`].
 ///
+/// A thin [`TraceBuffer`] wrapper over [`run_chaos_with_sink`].
+///
 /// [`capture`]: crate::runtime::capture
+/// [`TraceBuffer`]: qoa_uarch::TraceBuffer
 ///
 /// # Errors
 ///
@@ -315,6 +267,30 @@ pub fn capture_chaos(
     rt: &RuntimeConfig,
     opts: &ChaosOptions,
 ) -> Result<(CapturedRun, ChaosOutcome), QoaError> {
+    run_chaos_with_sink(source, rt, opts, trace_sink(rt)).map(|(run, out)| (run.into(), out))
+}
+
+/// Runs `source` under `rt` into `sink` with the fault plan in `opts`
+/// armed, recovering injected faults by checkpoint/restore.
+///
+/// Every snapshot clones the whole machine, `sink` included, so a
+/// restore rewinds the sink together with the interpreter: a recovered
+/// run leaves `sink` exactly as a fault-free [`run_with_sink`] would. A
+/// core model as the sink makes each checkpoint a fixed-size copy; a
+/// [`TraceBuffer`] makes it grow with the run.
+///
+/// [`run_with_sink`]: crate::runtime::run_with_sink
+/// [`TraceBuffer`]: qoa_uarch::TraceBuffer
+///
+/// # Errors
+///
+/// As [`capture_chaos`].
+pub fn run_chaos_with_sink<S: OpSink + Clone>(
+    source: &str,
+    rt: &RuntimeConfig,
+    opts: &ChaosOptions,
+    sink: S,
+) -> Result<(SinkRun<S>, ChaosOutcome), QoaError> {
     let mut out = ChaosOutcome::default();
     let code = qoa_frontend::compile(source)?;
 
@@ -349,59 +325,10 @@ pub fn capture_chaos(
     // while the code that actually loads is the optimized form, so the
     // chaos oracle also covers the optimizer.
     let (code, verified) = crate::runtime::prepare(code, rt)?;
-    let trace = if rt.obs.enabled {
-        TraceBuffer::with_frame_capture()
-    } else {
-        TraceBuffer::new()
-    };
-
-    match rt.kind {
-        RuntimeKind::CPython => {
-            let cfg = VmConfig {
-                heap: HeapMode::Rc,
-                max_steps: rt.max_steps,
-                deadline: rt.deadline,
-                max_heap_bytes: rt.max_heap_bytes,
-            };
-            let mut vm = Vm::new(cfg, trace);
-            match verified.as_ref() {
-                Some(v) => vm.load_verified(v),
-                None => vm.load_program(&code),
-            }
-            vm.arm_chaos(chaos);
-            let mut vm = drive(vm, opts.checkpoint_every, &mut out)?;
-            let result = vm.global_display("result");
-            let output = vm.output().to_vec();
-            let stats = vm.stats();
-            let (trace, _) = vm.finish();
-            Ok((
-                CapturedRun {
-                    trace,
-                    vm: stats,
-                    jit: qoa_jit::JitStats::default(),
-                    output,
-                    result,
-                },
-                out,
-            ))
-        }
-        RuntimeKind::PyPyNoJit | RuntimeKind::PyPyJit | RuntimeKind::V8 => {
-            let enabled = rt.kind != RuntimeKind::PyPyNoJit;
-            let mut vm = PyPyVm::new(rt.jit_config(enabled), trace);
-            match verified.as_ref() {
-                Some(v) => vm.load_verified(v),
-                None => vm.load_program(&code),
-            }
-            vm.arm_chaos(chaos);
-            let mut vm = drive(vm, opts.checkpoint_every, &mut out)?;
-            let jit = vm.jit_stats();
-            let result = vm.vm.global_display("result");
-            let output = vm.vm.output().to_vec();
-            let stats = vm.vm.stats();
-            let (trace, _) = vm.vm.finish();
-            Ok((CapturedRun { trace, vm: stats, jit, output, result }, out))
-        }
-    }
+    let mut machine = Machine::load(&code, verified.as_ref(), rt, sink);
+    machine.vm_mut().arm_chaos(chaos);
+    let machine = drive(machine, opts.checkpoint_every, &mut out)?;
+    Ok((machine.finish(), out))
 }
 
 /// The differential oracle: asserts a faulted-then-recovered run is

@@ -16,19 +16,19 @@
 //! and returns a process exit code: nonzero only when the failure rate
 //! exceeds the configured threshold.
 
-use crate::chaos::{capture_chaos, fault_kinds_for, ChaosOptions};
+use crate::chaos::{fault_kinds_for, run_chaos_with_sink, ChaosOptions};
 use crate::error::QoaError;
 use crate::executor::{
     cell_seed, run_supervised, CellVerdict, ExecutorOptions, ExecutorStats, SupervisedCell,
 };
 use crate::isolate::run_isolated;
 use crate::journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric, Supervision};
-use crate::runtime::{capture, CapturedRun, RuntimeConfig};
+use crate::runtime::{run_with_sink, trace_sink, RuntimeConfig, SinkRun};
 use crate::sweeps::SweepParam;
 use crate::Breakdown;
 use qoa_chaos::FaultPlan;
-use qoa_model::{Category, CategoryMap, Phase};
-use qoa_uarch::{TraceBuffer, UarchConfig};
+use qoa_model::{Category, CategoryMap, OpSink, Phase};
+use qoa_uarch::{OooCore, SimpleCore, TraceBuffer, UarchConfig};
 use qoa_workloads::{Scale, Workload};
 use std::path::PathBuf;
 use std::rc::Rc;
@@ -343,21 +343,25 @@ pub struct CellChaos {
     pub points: usize,
 }
 
-/// Captures `source` under `rt`, plainly or under a seeded per-cell
-/// fault plan.
+/// Runs `source` under `rt` into `sink`, plainly or under a seeded
+/// per-cell fault plan.
 ///
-/// This is the capture primitive behind the spec builders; binaries with
-/// bespoke cells use it directly so `--chaos-seed` covers them too. The
-/// plan seed depends only on the batch seed and the cell key, so the
-/// schedule is identical for any worker count.
-pub fn capture_cell(
+/// This is the run primitive behind the spec builders; binaries with
+/// bespoke cells use it directly so `--chaos-seed` covers them too. A
+/// cell whose micro-ops have one consumer passes that core model as
+/// `sink` and never materializes a trace; a cell that replays many times
+/// passes a [`TraceBuffer`]. The plan seed depends only on the batch
+/// seed and the cell key, so the schedule is identical for any worker
+/// count.
+pub fn run_cell<S: OpSink + Clone>(
     source: &str,
     rt: &RuntimeConfig,
     chaos: Option<CellChaos>,
     key: &CellKey,
-) -> Result<CapturedRun, QoaError> {
+    sink: S,
+) -> Result<SinkRun<S>, QoaError> {
     match chaos {
-        None => capture(source, rt),
+        None => run_with_sink(source, rt, sink),
         Some(c) => {
             let plan = FaultPlan::seeded(
                 cell_seed(c.seed, key),
@@ -365,7 +369,7 @@ pub fn capture_cell(
                 c.points,
                 fault_kinds_for(rt.kind),
             );
-            let (run, _outcome) = capture_chaos(source, rt, &ChaosOptions::new(plan))?;
+            let (run, _outcome) = run_chaos_with_sink(source, rt, &ChaosOptions::new(plan), sink)?;
             Ok(run)
         }
     }
@@ -381,8 +385,8 @@ fn measure_nursery(
     key: &CellKey,
 ) -> Result<CellMetrics, QoaError> {
     let rt = rt.with_deadline(deadline);
-    let run = capture_cell(&w.source(scale), &rt, chaos, key)?;
-    let stats = run.trace.simulate_ooo(uarch);
+    let (core, vm, ..) = run_cell(&w.source(scale), &rt, chaos, key, OooCore::new(uarch))?;
+    let stats = core.finish();
     let mut m = CellMetrics::new();
     m.insert("cycles".into(), Metric::Int(stats.cycles as i64));
     m.insert(
@@ -392,7 +396,7 @@ fn measure_nursery(
         ),
     );
     m.insert("llc_miss_rate".into(), Metric::Num(stats.llc.miss_rate()));
-    m.insert("minor_collections".into(), Metric::Int(run.vm.gc.minor_collections as i64));
+    m.insert("minor_collections".into(), Metric::Int(vm.gc.minor_collections as i64));
     Ok(m)
 }
 
@@ -406,9 +410,8 @@ fn measure_breakdown(
     key: &CellKey,
 ) -> Result<CellMetrics, QoaError> {
     let rt = rt.with_deadline(deadline);
-    let run = capture_cell(&w.source(scale), &rt, chaos, key)?;
-    let stats = run.trace.simulate_simple(uarch);
-    let b = Breakdown::from_stats(w.name, &stats);
+    let (core, ..) = run_cell(&w.source(scale), &rt, chaos, key, SimpleCore::new(uarch))?;
+    let b = Breakdown::from_stats(w.name, &core.finish());
     let mut m = CellMetrics::new();
     m.insert("cycles".into(), Metric::Int(b.cycles as i64));
     m.insert("instructions".into(), Metric::Int(b.instructions as i64));
@@ -642,8 +645,8 @@ pub fn sweep_param_cell(
             Some(t) => Rc::clone(t),
             None => {
                 let rt = rt.with_deadline(deadline);
-                let run = capture_cell(&w.source(scale), &rt, None, &mkey)?;
-                let t = Rc::new(run.trace);
+                let (trace, ..) = run_cell(&w.source(scale), &rt, None, &mkey, trace_sink(&rt))?;
+                let t = Rc::new(trace);
                 *trace_cache = Some(Rc::clone(&t));
                 t
             }
@@ -701,8 +704,8 @@ pub fn sweep_param_spec(
             Some(t) => Arc::clone(t),
             None => {
                 let rt = rt.with_deadline(deadline);
-                let run = capture_cell(&w.source(scale), &rt, chaos, &mkey)?;
-                let t = Arc::new(run.trace);
+                let (trace, ..) = run_cell(&w.source(scale), &rt, chaos, &mkey, trace_sink(&rt))?;
+                let t = Arc::new(trace);
                 *slot = Some(Arc::clone(&t));
                 t
             }

@@ -56,7 +56,8 @@ pub use benchsnap::{
     BenchSnapshot, ClassDelta, BENCH_SCHEMA_VERSION,
 };
 pub use chaos::{
-    capture_chaos, fault_kinds_for, oracle_check, stats_divergence, ChaosOptions, ChaosOutcome,
+    capture_chaos, fault_kinds_for, oracle_check, run_chaos_with_sink, stats_divergence,
+    ChaosOptions, ChaosOutcome,
 };
 pub use breaker::{BreakerBank, BreakerCore, BreakerOptions, BreakerState};
 pub use error::QoaError;
@@ -74,7 +75,7 @@ pub use harness::{
 pub use isolate::{run_isolated, RunFailure, RunOutcome};
 pub use journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric, JOURNAL_VERSION};
 pub use report::Table;
-pub use runtime::{capture, capture_observed, run_with_sink, CapturedRun, RuntimeConfig};
+pub use runtime::{capture, capture_observed, run_with_sink, CapturedRun, RuntimeConfig, SinkRun};
 pub use sweeps::{
     best_nursery, nursery_sweep, sweep_trace, NurseryPoint, SweepParam, SweepPoint,
     NURSERY_SIZES,

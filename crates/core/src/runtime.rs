@@ -7,7 +7,7 @@ use qoa_jit::{JitConfig, JitStats, PyPyVm};
 use qoa_model::{OpSink, RuntimeKind};
 use qoa_obs::{ObsConfig, Observability};
 use qoa_uarch::TraceBuffer;
-use qoa_vm::{HeapMode, Vm, VmConfig, VmStats};
+use qoa_vm::{HeapMode, StepEvent, Vm, VmConfig, VmError, VmStats};
 use std::rc::Rc;
 
 /// Default execution fuel for experiment runs (guards against accidental
@@ -134,14 +134,23 @@ pub struct CapturedRun {
 /// Returns the typed [`QoaError`]: compile error, guest run-time error,
 /// or resource cutoff (fuel, deadline, simulated OOM).
 pub fn capture(source: &str, rt: &RuntimeConfig) -> Result<CapturedRun, QoaError> {
-    let trace = if rt.obs.enabled {
+    run_with_sink(source, rt, trace_sink(rt)).map(CapturedRun::from)
+}
+
+/// The empty trace a capture under `rt` records into: frame events are
+/// kept only when observability is on.
+pub(crate) fn trace_sink(rt: &RuntimeConfig) -> TraceBuffer {
+    if rt.obs.enabled {
         TraceBuffer::with_frame_capture()
     } else {
         TraceBuffer::new()
-    };
-    run_with_sink(source, rt, trace).map(
-        |(trace, vm, jit, output, result)| CapturedRun { trace, vm, jit, output, result },
-    )
+    }
+}
+
+impl From<SinkRun<TraceBuffer>> for CapturedRun {
+    fn from((trace, vm, jit, output, result): SinkRun<TraceBuffer>) -> Self {
+        CapturedRun { trace, vm, jit, output, result }
+    }
 }
 
 /// Runs `source` under `rt` with wall-clock spans recorded into `obs`
@@ -181,8 +190,12 @@ pub fn capture_observed(
     obs.wall_span("execute", || {
         run_compiled(&code, verified.as_ref(), rt, TraceBuffer::with_frame_capture())
     })
-    .map(|(trace, vm, jit, output, result)| CapturedRun { trace, vm, jit, output, result })
+    .map(CapturedRun::from)
 }
+
+/// Everything a runtime execution yields besides the trace: the sink,
+/// VM and JIT statistics, guest stdout, and the `result` global.
+pub type SinkRun<S> = (S, VmStats, JitStats, Vec<String>, Option<String>);
 
 /// Runs `source` under `rt` with an arbitrary sink (e.g. a core model
 /// directly, when trace memory is a concern).
@@ -191,10 +204,6 @@ pub fn capture_observed(
 ///
 /// Returns the typed [`QoaError`]: compile error, guest run-time error,
 /// or resource cutoff (fuel, deadline, simulated OOM).
-/// Everything a runtime execution yields besides the trace: the sink,
-/// VM and JIT statistics, guest stdout, and the `result` global.
-pub type SinkRun<S> = (S, VmStats, JitStats, Vec<String>, Option<String>);
-
 pub fn run_with_sink<S: OpSink>(
     source: &str,
     rt: &RuntimeConfig,
@@ -229,41 +238,105 @@ fn run_compiled<S: OpSink>(
     rt: &RuntimeConfig,
     sink: S,
 ) -> Result<SinkRun<S>, QoaError> {
-    match rt.kind {
-        RuntimeKind::CPython => {
-            let cfg = VmConfig {
-                heap: HeapMode::Rc,
-                max_steps: rt.max_steps,
-                deadline: rt.deadline,
-                max_heap_bytes: rt.max_heap_bytes,
-            };
-            let mut vm = Vm::new(cfg, sink);
-            match verified {
-                Some(v) => vm.load_verified(v),
-                None => vm.load_program(code),
+    let mut machine = Machine::load(code, verified, rt, sink);
+    machine.run()?;
+    Ok(machine.finish())
+}
+
+/// A loaded guest machine: the one place that dispatches on
+/// [`RuntimeKind`], shared by plain runs and [`crate::chaos`] runs. The
+/// whole machine, sink included, is `Clone` when the sink is, which is
+/// what a chaos snapshot copies.
+#[derive(Clone)]
+pub(crate) enum Machine<S: OpSink> {
+    /// CPython: the reference-counting interpreter.
+    CPython(Box<Vm<S>>),
+    /// The PyPy and V8 models: generational heap, optional tracing JIT.
+    PyPy(Box<PyPyVm<S>>),
+}
+
+impl<S: OpSink> Machine<S> {
+    /// Builds the machine `rt` selects over `sink` and loads `code`,
+    /// with dispatch guards elided when `verified` is given.
+    pub(crate) fn load(
+        code: &Rc<CodeObject>,
+        verified: Option<&Verified<Rc<CodeObject>>>,
+        rt: &RuntimeConfig,
+        sink: S,
+    ) -> Self {
+        match rt.kind {
+            RuntimeKind::CPython => {
+                let cfg = VmConfig {
+                    heap: HeapMode::Rc,
+                    max_steps: rt.max_steps,
+                    deadline: rt.deadline,
+                    max_heap_bytes: rt.max_heap_bytes,
+                };
+                let mut vm = Vm::new(cfg, sink);
+                match verified {
+                    Some(v) => vm.load_verified(v),
+                    None => vm.load_program(code),
+                }
+                Machine::CPython(Box::new(vm))
             }
-            vm.run().map_err(QoaError::from)?;
-            let result = vm.global_display("result");
-            let output = vm.output().to_vec();
-            let stats = vm.stats();
-            let (sink, _) = vm.finish();
-            Ok((sink, stats, JitStats::default(), output, result))
-        }
-        RuntimeKind::PyPyNoJit | RuntimeKind::PyPyJit | RuntimeKind::V8 => {
-            let enabled = rt.kind != RuntimeKind::PyPyNoJit;
-            let mut vm = PyPyVm::new(rt.jit_config(enabled), sink);
-            match verified {
-                Some(v) => vm.load_verified(v),
-                None => vm.load_program(code),
+            RuntimeKind::PyPyNoJit | RuntimeKind::PyPyJit | RuntimeKind::V8 => {
+                let enabled = rt.kind != RuntimeKind::PyPyNoJit;
+                let mut vm = PyPyVm::new(rt.jit_config(enabled), sink);
+                match verified {
+                    Some(v) => vm.load_verified(v),
+                    None => vm.load_program(code),
+                }
+                Machine::PyPy(Box::new(vm))
             }
-            vm.run().map_err(QoaError::from)?;
-            let jit = vm.jit_stats();
-            let result = vm.vm.global_display("result");
-            let output = vm.vm.output().to_vec();
-            let stats = vm.vm.stats();
-            let (sink, _) = vm.vm.finish();
-            Ok((sink, stats, jit, output, result))
         }
+    }
+
+    /// The underlying interpreter (chaos arming, fault records).
+    pub(crate) fn vm_mut(&mut self) -> &mut Vm<S> {
+        match self {
+            Machine::CPython(vm) => vm,
+            Machine::PyPy(p) => &mut p.vm,
+        }
+    }
+
+    /// Bytecodes executed so far.
+    pub(crate) fn steps(&self) -> u64 {
+        match self {
+            Machine::CPython(vm) => vm.steps(),
+            Machine::PyPy(p) => p.steps(),
+        }
+    }
+
+    /// Runs the program to completion.
+    fn run(&mut self) -> Result<(), VmError> {
+        match self {
+            Machine::CPython(vm) => vm.run(),
+            Machine::PyPy(p) => p.run(),
+        }
+    }
+
+    /// Executes one driver step; `Ok(true)` when the program finished.
+    pub(crate) fn step(&mut self) -> Result<bool, VmError> {
+        match self {
+            Machine::CPython(vm) => Ok(matches!(vm.step()?, StepEvent::Done)),
+            Machine::PyPy(p) => p.step_driver(),
+        }
+    }
+
+    /// Consumes the finished machine into what the run yields.
+    pub(crate) fn finish(self) -> SinkRun<S> {
+        let (mut vm, jit) = match self {
+            Machine::CPython(vm) => (*vm, JitStats::default()),
+            Machine::PyPy(p) => {
+                let jit = p.jit_stats();
+                (p.vm, jit)
+            }
+        };
+        let result = vm.global_display("result");
+        let output = vm.output().to_vec();
+        let stats = vm.stats();
+        let (sink, _) = vm.finish();
+        (sink, stats, jit, output, result)
     }
 }
 

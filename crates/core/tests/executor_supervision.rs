@@ -6,13 +6,14 @@
 //! the journal as `shed` outcomes and in the Prometheus exposition as
 //! breaker transitions.
 
-use qoa_core::harness::{capture_cell, CellChaos};
+use qoa_core::harness::{run_cell, CellChaos};
 use qoa_core::journal::{CellKey, CellMetrics, Metric};
 use qoa_core::runtime::RuntimeConfig;
 use qoa_core::{
     BreakerOptions, ExecutorOptions, Harness, HarnessOptions, QoaError, SupervisedCell,
 };
 use qoa_model::RuntimeKind;
+use qoa_uarch::TraceBuffer;
 use std::path::{Path, PathBuf};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -33,10 +34,10 @@ fn capture_specs(chaos: Option<CellChaos>) -> Vec<SupervisedCell<CellMetrics>> {
             let mkey = key.clone();
             SupervisedCell::new(key, move |deadline| {
                 let rt = RuntimeConfig::new(RuntimeKind::CPython).with_deadline(deadline);
-                let run = capture_cell(SRC, &rt, chaos, &mkey)?;
+                let (trace, vm, ..) = run_cell(SRC, &rt, chaos, &mkey, TraceBuffer::new())?;
                 let mut m = CellMetrics::new();
-                m.insert("bytecodes".into(), Metric::Int(run.vm.bytecodes as i64));
-                m.insert("trace_len".into(), Metric::Int(run.trace.len() as i64));
+                m.insert("bytecodes".into(), Metric::Int(vm.bytecodes as i64));
+                m.insert("trace_len".into(), Metric::Int(trace.len() as i64));
                 Ok(m)
             })
         })

@@ -19,7 +19,9 @@
 //! every [`ExecutionStats`] counter, byte for byte. Cross-tier
 //! *ExecutionStats* equality is deliberately **not** demanded — guard
 //! elision, the optimizer, and the JIT legitimately change the micro-op
-//! stream; what they may never change is what the program computes.
+//! stream; what they may never change is what the program computes. So
+//! only the `chaos` tier and its twin keep their traces; every other
+//! tier runs into a `NullSink`.
 //!
 //! Fuel exhaustion in any tier makes the verdict [`Inconclusive`] rather
 //! than a divergence: optimized tiers execute different bytecode counts,
@@ -33,12 +35,12 @@
 
 use qoa_chaos::FaultPlan;
 use qoa_core::{
-    capture, capture_chaos, fault_kinds_for, oracle_check, run_isolated, CapturedRun,
-    ChaosOptions, RuntimeConfig,
+    capture, capture_chaos, fault_kinds_for, oracle_check, run_isolated, run_with_sink,
+    CapturedRun, ChaosOptions, RunFailure, RuntimeConfig,
 };
 use qoa_frontend::ast::{Expr, ExprKind, Module, Stmt, StmtKind};
 use qoa_frontend::render::render_module;
-use qoa_model::RuntimeKind;
+use qoa_model::{NullSink, RuntimeKind};
 use qoa_uarch::UarchConfig;
 
 /// The six tier labels, in evaluation order.
@@ -229,6 +231,10 @@ impl FuzzVerdict {
 /// failure carries the typed error identity.
 type TierOutcome = Result<(Option<String>, Vec<String>), String>;
 
+fn failure_identity(failure: RunFailure) -> String {
+    format!("{}: {}", failure.error.kind(), failure.error)
+}
+
 fn outcome_of(run: Result<CapturedRun, String>) -> (TierOutcome, Option<CapturedRun>) {
     match run {
         Ok(r) => {
@@ -239,11 +245,33 @@ fn outcome_of(run: Result<CapturedRun, String>) -> (TierOutcome, Option<Captured
     }
 }
 
-fn capture_tier(source: &str, rt: &RuntimeConfig) -> Result<CapturedRun, String> {
-    match run_isolated(|| capture(source, rt)) {
-        Ok(run) => Ok(run),
-        Err(failure) => Err(format!("{}: {}", failure.error.kind(), failure.error)),
-    }
+/// Runs a tier whose trace the strict oracle compares.
+fn capture_tier(source: &str, rt: &RuntimeConfig) -> (TierOutcome, Option<CapturedRun>) {
+    outcome_of(run_isolated(|| capture(source, rt)).map_err(failure_identity))
+}
+
+/// Runs a tier judged on its guest-visible outcome alone: the micro-ops
+/// go to a [`NullSink`], so no trace is stored.
+fn outcome_tier(source: &str, rt: &RuntimeConfig) -> TierOutcome {
+    run_isolated(|| run_with_sink(source, rt, NullSink))
+        .map(|(_, _, _, output, result)| (result, output))
+        .map_err(failure_identity)
+}
+
+/// Runs the chaos tier: seeded interpreter faults with snapshot
+/// recovery, the horizon taken from the fault-free twin so faults land
+/// mid-run.
+fn chaos_tier(
+    source: &str,
+    rt: &RuntimeConfig,
+    twin: Option<&CapturedRun>,
+    chaos_seed: u64,
+) -> (TierOutcome, Option<CapturedRun>) {
+    let horizon = twin.map_or(1024, |r| r.vm.bytecodes.max(1));
+    let plan = FaultPlan::seeded(chaos_seed, horizon, 6, fault_kinds_for(RuntimeKind::CPython));
+    let opts = ChaosOptions::new(plan).with_checkpoint_every((horizon / 4).max(64));
+    let run = run_isolated(|| capture_chaos(source, rt, &opts));
+    outcome_of(run.map(|(run, _outcome)| run).map_err(failure_identity))
 }
 
 fn describe(outcome: &TierOutcome) -> String {
@@ -275,44 +303,31 @@ pub fn differential(source: &str, chaos_seed: u64, plant: Option<BugPlant>) -> F
     rt_jit.max_steps = ORACLE_FUEL;
 
     // Baseline: the checked interpreter.
-    let (baseline, _) = outcome_of(capture_tier(source, &rt_checked));
+    let baseline = outcome_tier(source, &rt_checked);
     if is_fuel(&baseline) {
         return FuzzVerdict::Inconclusive;
     }
 
     // The fault-free elided run doubles as the chaos tier's strict twin.
-    let (elided, elided_run) = outcome_of(capture_tier(source, &rt_elided));
+    let (elided, elided_run) = capture_tier(source, &rt_elided);
 
     let planted_source = plant.and_then(|p| plant_bug(source, p));
     let opt2_source: &str = planted_source.as_deref().unwrap_or(source);
 
-    let mut tiers: Vec<(&'static str, TierOutcome, Option<CapturedRun>)> = vec![
-        ("interp-elided", elided, elided_run),
+    let (chaos, chaos_run) = chaos_tier(source, &rt_elided, elided_run.as_ref(), chaos_seed);
+    let tiers: [(&'static str, TierOutcome); 5] = [
+        ("interp-elided", elided),
+        ("opt1", outcome_tier(source, &rt_opt1)),
+        ("opt2", outcome_tier(opt2_source, &rt_opt2)),
+        ("jit", outcome_tier(source, &rt_jit)),
+        ("chaos", chaos),
     ];
-    let (o, r) = outcome_of(capture_tier(source, &rt_opt1));
-    tiers.push(("opt1", o, r));
-    let (o, r) = outcome_of(capture_tier(opt2_source, &rt_opt2));
-    tiers.push(("opt2", o, r));
-    let (o, r) = outcome_of(capture_tier(source, &rt_jit));
-    tiers.push(("jit", o, r));
 
-    // Chaos tier: seeded interpreter faults with snapshot recovery; the
-    // horizon comes from the elided twin so faults land mid-run.
-    let horizon = tiers[0].2.as_ref().map_or(1024, |r| r.vm.bytecodes.max(1));
-    let plan = FaultPlan::seeded(chaos_seed, horizon, 6, fault_kinds_for(RuntimeKind::CPython));
-    let opts = ChaosOptions::new(plan).with_checkpoint_every((horizon / 4).max(64));
-    let chaos = match run_isolated(|| capture_chaos(source, &rt_elided, &opts)) {
-        Ok((run, _outcome)) => Ok(run),
-        Err(failure) => Err(format!("{}: {}", failure.error.kind(), failure.error)),
-    };
-    let (o, r) = outcome_of(chaos);
-    tiers.push(("chaos", o, r));
-
-    if tiers.iter().any(|(_, o, _)| is_fuel(o)) {
+    if tiers.iter().any(|(_, o)| is_fuel(o)) {
         return FuzzVerdict::Inconclusive;
     }
 
-    for (tier, outcome, run) in &tiers {
+    for (tier, outcome) in &tiers {
         if *outcome != baseline {
             return FuzzVerdict::Diverge(Divergence {
                 tier: (*tier).to_string(),
@@ -323,21 +338,19 @@ pub fn differential(source: &str, chaos_seed: u64, plant: Option<BugPlant>) -> F
                 ),
             });
         }
-        // The chaos tier must additionally be byte-identical to its
-        // fault-free twin: trace length and every ExecutionStats counter.
-        if *tier == "chaos" {
-            if let (Some(twin), Some(chaos_run)) = (&tiers[0].2, run) {
-                if let Some(div) = oracle_check(twin, chaos_run, &UarchConfig::skylake()) {
-                    return FuzzVerdict::Diverge(Divergence {
-                        tier: "chaos".to_string(),
-                        detail: format!("strict oracle vs interp-elided: {div}"),
-                    });
-                }
-            }
+    }
+    // The chaos tier must additionally be byte-identical to its
+    // fault-free twin: trace length and every ExecutionStats counter.
+    if let (Some(twin), Some(chaos_run)) = (&elided_run, &chaos_run) {
+        if let Some(div) = oracle_check(twin, chaos_run, &UarchConfig::skylake()) {
+            return FuzzVerdict::Diverge(Divergence {
+                tier: "chaos".to_string(),
+                detail: format!("strict oracle vs interp-elided: {div}"),
+            });
         }
     }
 
-    let bytecodes = tiers[0].2.as_ref().map_or(0, |r| r.vm.bytecodes);
+    let bytecodes = elided_run.as_ref().map_or(0, |r| r.vm.bytecodes);
     let result = match baseline {
         Ok((result, _)) => result,
         Err(_) => None,
@@ -359,42 +372,34 @@ pub fn tier_diverges(source: &str, tier: &str, chaos_seed: u64, plant: Option<Bu
     let mut rt_elided = RuntimeConfig::new(RuntimeKind::CPython);
     rt_elided.max_steps = ORACLE_FUEL;
 
-    let (baseline, _) = outcome_of(capture_tier(source, &rt_checked));
+    let baseline = outcome_tier(source, &rt_checked);
     if is_fuel(&baseline) {
         return false;
     }
 
-    let (outcome, _) = match tier {
+    let outcome = match tier {
         // The baseline cannot diverge from itself.
         "interp-checked" => return false,
-        "interp-elided" => outcome_of(capture_tier(source, &rt_elided)),
-        "opt1" => outcome_of(capture_tier(source, &rt_elided.with_opt_level(1))),
+        "interp-elided" => outcome_tier(source, &rt_elided),
+        "opt1" => outcome_tier(source, &rt_elided.with_opt_level(1)),
         "opt2" => {
             let planted = plant.and_then(|p| plant_bug(source, p));
             let opt2_source: &str = planted.as_deref().unwrap_or(source);
-            outcome_of(capture_tier(opt2_source, &rt_elided.with_opt_level(2)))
+            outcome_tier(opt2_source, &rt_elided.with_opt_level(2))
         }
         "jit" => {
             let mut rt_jit = RuntimeConfig::new(RuntimeKind::PyPyJit);
             rt_jit.max_steps = ORACLE_FUEL;
-            outcome_of(capture_tier(source, &rt_jit))
+            outcome_tier(source, &rt_jit)
         }
         "chaos" => {
             // The chaos tier needs its fault-free elided twin for the
             // fault horizon and the strict oracle.
-            let (twin_outcome, twin_run) = outcome_of(capture_tier(source, &rt_elided));
+            let (twin_outcome, twin_run) = capture_tier(source, &rt_elided);
             if is_fuel(&twin_outcome) {
                 return false;
             }
-            let horizon = twin_run.as_ref().map_or(1024, |r| r.vm.bytecodes.max(1));
-            let plan =
-                FaultPlan::seeded(chaos_seed, horizon, 6, fault_kinds_for(RuntimeKind::CPython));
-            let opts = ChaosOptions::new(plan).with_checkpoint_every((horizon / 4).max(64));
-            let chaos = match run_isolated(|| capture_chaos(source, &rt_elided, &opts)) {
-                Ok((run, _outcome)) => Ok(run),
-                Err(failure) => Err(format!("{}: {}", failure.error.kind(), failure.error)),
-            };
-            let (outcome, run) = outcome_of(chaos);
+            let (outcome, run) = chaos_tier(source, &rt_elided, twin_run.as_ref(), chaos_seed);
             if is_fuel(&outcome) {
                 return false;
             }

@@ -23,7 +23,7 @@ use qoa_model::{MicroOp, OpKind, OpSink};
 const Q: u64 = 256; // fixed-point scale for fractional dispatch slots
 
 /// Approximate out-of-order core.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct OooCore {
     mem: MemoryHierarchy,
     branch: BranchUnit,

@@ -14,7 +14,7 @@ use crate::stats::ExecutionStats;
 use qoa_model::{MicroOp, OpKind, OpSink};
 
 /// In-order, one-op-per-cycle core with cache-miss stalls.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SimpleCore {
     mem: MemoryHierarchy,
     stats: ExecutionStats,
