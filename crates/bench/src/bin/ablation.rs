@@ -11,17 +11,26 @@
 //! 3. **Nursery policy** — static half-of-LLC vs. maximum vs. best-per-app
 //!    (the Fig. 17 policy comparison as a single table).
 
+use std::time::Instant;
+
 use qoa_bench::{cell_chaos, cli, emit, harness, prewarm, Cli, NA};
-use qoa_core::harness::{best_nursery_cell, nursery_cells, nursery_spec, run_cell, Harness};
+use qoa_core::harness::{
+    best_nursery_cell, nursery_cells, nursery_spec, run_cell, CellChaos, Harness,
+};
 use qoa_core::journal::{CellKey, CellMetrics, Metric};
 use qoa_core::report::{f2, f3, pct, Table};
-use qoa_core::runtime::{capture, RuntimeConfig};
+use qoa_core::runtime::RuntimeConfig;
 use qoa_core::sweeps::{format_bytes, NURSERY_SIZES_SCALED};
-use qoa_core::SupervisedCell;
+use qoa_core::{QoaError, SupervisedCell};
 use qoa_jit::JitConfig;
 use qoa_model::{Category, OpKind, RuntimeKind};
-use qoa_uarch::{TraceBuffer, UarchConfig};
-use qoa_workloads::by_name;
+use qoa_uarch::{OooCore, TraceBuffer, UarchConfig};
+use qoa_workloads::{by_name, Scale, Workload};
+
+/// Ablation 1 workloads.
+const JIT_STAGE_WORKLOADS: [&str; 4] = ["eparse", "go", "richards", "fannkuch"];
+/// Ablation 2 workloads.
+const BTB_WORKLOADS: [&str; 3] = ["richards", "deltablue", "nbody"];
 
 fn main() {
     let cli = cli();
@@ -33,6 +42,79 @@ fn main() {
     std::process::exit(h.finish());
 }
 
+/// The three JIT pipelines of ablation 1: interpreter only, traces
+/// without bridges, and the full pipeline.
+fn jit_stages() -> [(&'static str, JitConfig); 3] {
+    let base = JitConfig { nursery_size: 512 << 10, ..JitConfig::default() };
+    [
+        ("interp-only", JitConfig { enabled: false, ..base }),
+        ("no-bridges", JitConfig { bridge_threshold: u32::MAX, ..base }),
+        ("full", base),
+    ]
+}
+
+/// Ablation 1 cell: OOO cycles of `w` under one JIT pipeline, streamed
+/// straight into the core. The PyPyVm is driven directly, so these cells
+/// run without fault injection.
+fn jit_stage_cell(
+    w: &Workload,
+    scale: Scale,
+    cfg: JitConfig,
+    deadline: Option<Instant>,
+) -> Result<CellMetrics, QoaError> {
+    let cfg = JitConfig { deadline, ..cfg };
+    let code = qoa_frontend::compile(&w.source(scale))?;
+    let mut vm = qoa_jit::PyPyVm::new(cfg, OooCore::new(&UarchConfig::skylake()));
+    vm.load_program(&code);
+    vm.run()?;
+    let (core, _) = vm.vm.finish();
+    let cycles = core.finish().cycles;
+    let mut m = CellMetrics::new();
+    m.insert("cycles".into(), Metric::Int(cycles as i64));
+    Ok(m)
+}
+
+/// Ablation 2 cell: one CPython capture, scanned for the indirect share
+/// of the C-call ops and replayed once through a fan-out of the tiny,
+/// baseline and huge BTB.
+fn btb_cell(
+    w: &Workload,
+    scale: Scale,
+    chaos: Option<CellChaos>,
+    key: &CellKey,
+    deadline: Option<Instant>,
+) -> Result<CellMetrics, QoaError> {
+    let rt = RuntimeConfig::new(RuntimeKind::CPython).with_deadline(deadline);
+    let (trace, ..) = run_cell(&w.source(scale), &rt, chaos, key, TraceBuffer::new())?;
+    // Instruction-level share: indirect call/branch ops within the
+    // C-function-call category (paper: 11.9% average).
+    let mut ccall_ops = 0u64;
+    let mut ccall_indirect = 0u64;
+    for op in trace.ops() {
+        if op.category == Category::CFunctionCall {
+            ccall_ops += 1;
+            if matches!(op.kind, OpKind::Call { indirect: true, .. } | OpKind::Ret) {
+                ccall_indirect += 1;
+            }
+        }
+    }
+    let btb = |entries| {
+        let mut cfg = UarchConfig::skylake();
+        cfg.branch.btb_entries = entries;
+        cfg
+    };
+    let stats = trace.simulate_ooo_fanout(&[btb(16), UarchConfig::skylake(), btb(1 << 16)]);
+    let mut m = CellMetrics::new();
+    for (name, s) in ["cpi_tiny", "cpi_base", "cpi_huge"].into_iter().zip(&stats) {
+        m.insert(name.into(), Metric::Num(s.cpi()));
+    }
+    m.insert(
+        "indirect_share".into(),
+        Metric::Num(ccall_indirect as f64 / ccall_ops.max(1) as f64),
+    );
+    Ok(m)
+}
+
 /// Runs every ablation cell through the supervised executor up front; the
 /// per-study render loops below then answer from the journal.
 fn prewarm_cells(cli: &Cli, h: &mut Harness) {
@@ -40,68 +122,24 @@ fn prewarm_cells(cli: &Cli, h: &mut Harness) {
     let scale = cli.scale;
     let mut specs = Vec::new();
 
-    // Ablation 1: JIT pipeline stages. The PyPyVm is driven directly, so
-    // these cells run without fault injection.
-    let base = JitConfig { nursery_size: 512 << 10, ..JitConfig::default() };
-    let stages = [
-        ("interp-only", JitConfig { enabled: false, ..base }),
-        ("no-bridges", JitConfig { bridge_threshold: u32::MAX, ..base }),
-        ("full", base),
-    ];
-    for name in ["eparse", "go", "richards", "fannkuch"] {
+    // Ablation 1: JIT pipeline stages.
+    for name in JIT_STAGE_WORKLOADS {
         let w = by_name(name).expect("workload");
-        for (tag, cfg) in stages {
+        for (tag, cfg) in jit_stages() {
             let key = CellKey::new(name, "PyPyJit", "jit-stage", tag);
             specs.push(SupervisedCell::new(key, move |deadline| {
-                let uarch = UarchConfig::skylake();
-                let cfg = JitConfig { deadline, ..cfg };
-                let code = qoa_frontend::compile(&w.source(scale))?;
-                let mut vm = qoa_jit::PyPyVm::new(cfg, qoa_uarch::TraceBuffer::new());
-                vm.load_program(&code);
-                vm.run()?;
-                let (trace, _) = vm.vm.finish();
-                let cycles = trace.simulate_ooo(&uarch).cycles;
-                let mut m = CellMetrics::new();
-                m.insert("cycles".into(), Metric::Int(cycles as i64));
-                Ok(m)
+                jit_stage_cell(w, scale, cfg, deadline)
             }));
         }
     }
 
     // Ablation 2: BTB capacity.
-    for name in ["richards", "deltablue", "nbody"] {
+    for name in BTB_WORKLOADS {
         let w = by_name(name).expect("workload");
         let key = CellKey::new(name, "CPython", "btb", "ablation");
         let mkey = key.clone();
         specs.push(SupervisedCell::new(key, move |deadline| {
-            let rt = RuntimeConfig::new(RuntimeKind::CPython).with_deadline(deadline);
-            let (trace, ..) = run_cell(&w.source(scale), &rt, chaos, &mkey, TraceBuffer::new())?;
-            let mut ccall_ops = 0u64;
-            let mut ccall_indirect = 0u64;
-            for op in trace.ops() {
-                if op.category == Category::CFunctionCall {
-                    ccall_ops += 1;
-                    if matches!(op.kind, OpKind::Call { indirect: true, .. } | OpKind::Ret) {
-                        ccall_indirect += 1;
-                    }
-                }
-            }
-            let mut cfg_tiny = UarchConfig::skylake();
-            cfg_tiny.branch.btb_entries = 16;
-            let mut cfg_huge = UarchConfig::skylake();
-            cfg_huge.branch.btb_entries = 1 << 16;
-            let mut m = CellMetrics::new();
-            m.insert("cpi_tiny".into(), Metric::Num(trace.simulate_ooo(&cfg_tiny).cpi()));
-            m.insert(
-                "cpi_base".into(),
-                Metric::Num(trace.simulate_ooo(&UarchConfig::skylake()).cpi()),
-            );
-            m.insert("cpi_huge".into(), Metric::Num(trace.simulate_ooo(&cfg_huge).cpi()));
-            m.insert(
-                "indirect_share".into(),
-                Metric::Num(ccall_indirect as f64 / ccall_ops.max(1) as f64),
-            );
-            Ok(m)
+            btb_cell(w, scale, chaos, &mkey, deadline)
         }));
     }
 
@@ -123,30 +161,13 @@ fn jit_stage_ablation(cli: &Cli, h: &mut Harness) {
         "Ablation 1: JIT pipeline stages (cycles, OOO core)",
         &["benchmark", "interp-only", "traces only", "traces+bridges", "full speedup"],
     );
-    let uarch = UarchConfig::skylake();
-    for name in ["eparse", "go", "richards", "fannkuch"] {
+    for name in JIT_STAGE_WORKLOADS {
         let w = by_name(name).expect("workload");
-        let src = w.source(cli.scale);
-        let mut stage = |tag: &str, cfg: JitConfig| -> Option<u64> {
+        let [interp, no_bridges, full] = jit_stages().map(|(tag, cfg)| {
             let key = CellKey::new(name, "PyPyJit", "jit-stage", tag);
-            let metrics = h.cell(key, |deadline| {
-                let cfg = JitConfig { deadline, ..cfg };
-                let code = qoa_frontend::compile(&src)?;
-                let mut vm = qoa_jit::PyPyVm::new(cfg, qoa_uarch::TraceBuffer::new());
-                vm.load_program(&code);
-                vm.run()?;
-                let (trace, _) = vm.vm.finish();
-                let cycles = trace.simulate_ooo(&uarch).cycles;
-                let mut m = CellMetrics::new();
-                m.insert("cycles".into(), Metric::Int(cycles as i64));
-                Ok(m)
-            })?;
+            let metrics = h.cell(key, |deadline| jit_stage_cell(w, cli.scale, cfg, deadline))?;
             Some(metrics.get("cycles")?.as_i64()? as u64)
-        };
-        let base = JitConfig { nursery_size: 512 << 10, ..JitConfig::default() };
-        let interp = stage("interp-only", JitConfig { enabled: false, ..base });
-        let no_bridges = stage("no-bridges", JitConfig { bridge_threshold: u32::MAX, ..base });
-        let full = stage("full", base);
+        });
         let cell = |v: Option<u64>| v.map_or(NA.into(), |c| c.to_string());
         let speedup = match (interp, full) {
             (Some(i), Some(f)) => format!("{}x", f2(i as f64 / f.max(1) as f64)),
@@ -162,41 +183,12 @@ fn btb_ablation(cli: &Cli, h: &mut Harness) {
         "Ablation 2: BTB capacity on the CPython interpreter",
         &["benchmark", "CPI tiny BTB", "CPI baseline", "CPI huge BTB", "indirect share of C-call ops"],
     );
-    for name in ["richards", "deltablue", "nbody"] {
+    let chaos = cell_chaos(cli);
+    for name in BTB_WORKLOADS {
         let w = by_name(name).expect("workload");
         let key = CellKey::new(name, "CPython", "btb", "ablation");
-        let metrics = h.cell(key, |deadline| {
-            let rt = RuntimeConfig::new(RuntimeKind::CPython).with_deadline(deadline);
-            let run = capture(&w.source(cli.scale), &rt)?;
-            // Instruction-level share: indirect call/branch ops within the
-            // C-function-call category (paper: 11.9% average).
-            let mut ccall_ops = 0u64;
-            let mut ccall_indirect = 0u64;
-            for op in run.trace.ops() {
-                if op.category == Category::CFunctionCall {
-                    ccall_ops += 1;
-                    if matches!(op.kind, OpKind::Call { indirect: true, .. } | OpKind::Ret) {
-                        ccall_indirect += 1;
-                    }
-                }
-            }
-            let mut cfg_tiny = UarchConfig::skylake();
-            cfg_tiny.branch.btb_entries = 16;
-            let mut cfg_huge = UarchConfig::skylake();
-            cfg_huge.branch.btb_entries = 1 << 16;
-            let mut m = CellMetrics::new();
-            m.insert("cpi_tiny".into(), Metric::Num(run.trace.simulate_ooo(&cfg_tiny).cpi()));
-            m.insert(
-                "cpi_base".into(),
-                Metric::Num(run.trace.simulate_ooo(&UarchConfig::skylake()).cpi()),
-            );
-            m.insert("cpi_huge".into(), Metric::Num(run.trace.simulate_ooo(&cfg_huge).cpi()));
-            m.insert(
-                "indirect_share".into(),
-                Metric::Num(ccall_indirect as f64 / ccall_ops.max(1) as f64),
-            );
-            Ok(m)
-        });
+        let mkey = key.clone();
+        let metrics = h.cell(key, |deadline| btb_cell(w, cli.scale, chaos, &mkey, deadline));
         let get = |n: &str| metrics.as_ref().and_then(|m| m.get(n)?.as_f64());
         t.row(vec![
             name.to_string(),

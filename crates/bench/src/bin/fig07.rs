@@ -2,8 +2,8 @@
 //! for CPython, PyPy w/o JIT and PyPy w/ JIT, with the PyPy execution
 //! additionally split into bytecode-interpreter / GC / JIT-code phases.
 //!
-//! Each (benchmark, run-time) trace is captured once and replayed through
-//! the OOO core at every sweep point. Defaults to the paper's Fig. 8
+//! Each (benchmark, run-time) trace is captured once and replayed once per
+//! parameter, through an OOO fan-out with a lane per sweep point. Defaults to the paper's Fig. 8
 //! benchmark subset; pass `--all` for the full 48.
 
 use qoa_bench::{cell_chaos, cli, emit, harness, prewarm, sweep_subset, Cli, NA};

@@ -1,12 +1,12 @@
 //! Parameter sweeps: the §V methodology.
 //!
 //! Microarchitecture sweeps (Fig. 7–9) capture each (workload, run-time)
-//! trace once and replay it through the out-of-order model under every
-//! hardware configuration — timing never feeds back into run-time
-//! behaviour, exactly as with Pin + ZSim. Nursery sweeps (Fig. 10–17)
-//! re-*execute* the program per nursery size, because the nursery changes
-//! GC behaviour itself; each such run streams straight into the OOO core,
-//! with no trace in between.
+//! trace once and replay it once per parameter through a fan-out of the
+//! out-of-order model, one lane per hardware configuration — timing never
+//! feeds back into run-time behaviour, exactly as with Pin + ZSim.
+//! Nursery sweeps (Fig. 10–17) re-*execute* the program per nursery size,
+//! because the nursery changes GC behaviour itself; each such run streams
+//! straight into the OOO core, with no trace in between.
 
 use crate::error::QoaError;
 use crate::runtime::{run_with_sink, RuntimeConfig};
@@ -125,14 +125,15 @@ pub struct SweepPoint {
     pub stats: ExecutionStats,
 }
 
-/// Replays one captured trace across a parameter sweep (OOO core).
+/// Replays one captured trace across a parameter sweep (OOO core): one
+/// pass drives a lane per sweep value (see [`qoa_uarch::OooFanout`]).
 pub fn sweep_trace(trace: &TraceBuffer, param: SweepParam, base: &UarchConfig) -> Vec<SweepPoint> {
-    param
-        .values()
+    let values = param.values();
+    let cfgs: Vec<UarchConfig> = values.iter().map(|&value| param.apply(base, value)).collect();
+    values
         .into_iter()
-        .map(|value| {
-            let cfg = param.apply(base, value);
-            let stats = trace.simulate_ooo(&cfg);
+        .zip(trace.simulate_ooo_fanout(&cfgs))
+        .map(|(value, stats)| {
             let instr = stats.instructions.max(1) as f64;
             let phase_cpi =
                 PhaseMap::from_fn(|p| stats.cycles_by_phase[p] as f64 / instr);

@@ -8,7 +8,7 @@
 //! between 0.5x and 8x of this baseline.
 
 use crate::config::BranchConfig;
-use qoa_model::Pc;
+use qoa_model::{OpKind, Pc};
 
 /// Direction + target prediction statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -184,6 +184,18 @@ impl BranchUnit {
     /// Resets statistics (predictor state is preserved).
     pub fn reset_stats(&mut self) {
         self.stats = BranchStats::default();
+    }
+
+    /// Resolves the control transfer `kind` at `pc` (branch, call or
+    /// return); returns `true` on mispredict, and `false` for any other
+    /// kind of op.
+    pub(crate) fn resolve(&mut self, pc: Pc, kind: OpKind) -> bool {
+        match kind {
+            OpKind::Branch { taken, target, indirect } => self.branch(pc, taken, target, indirect),
+            OpKind::Call { target, indirect } => self.call(pc, target, indirect),
+            OpKind::Ret => self.ret(pc),
+            _ => false,
+        }
     }
 
     /// Resolves a conditional/direct branch; returns `true` on mispredict.

@@ -7,7 +7,7 @@
 //! nursery-allocation streaming visible to the LLC exactly as in the paper's
 //! Fig. 10.
 
-use crate::config::{CacheConfig, MemConfig, UarchConfig};
+use crate::config::{CacheConfig, UarchConfig};
 use crate::dram::Dram;
 
 /// Hit/miss statistics for one cache level.
@@ -31,14 +31,18 @@ impl CacheStats {
 }
 
 /// One set-associative, true-LRU cache level.
+///
+/// Each set keeps its ways in recency order, most recent first: a hit
+/// moves its line to the front, and a miss drops the last (least recent,
+/// or empty) way and fills the front. So the resident lines of a set are
+/// always the `assoc` most recently touched distinct lines that map to
+/// it.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// `sets * assoc` tags; `u64::MAX` marks an empty way.
+    /// `sets * assoc` tags, each set in recency order; `u64::MAX` marks
+    /// an empty way.
     tags: Vec<u64>,
-    /// LRU stamps parallel to `tags`.
-    stamps: Vec<u64>,
-    clock: u64,
     sets: usize,
     line_shift: u32,
     stats: CacheStats,
@@ -55,8 +59,6 @@ impl Cache {
         let sets = cfg.sets();
         Cache {
             tags: vec![u64::MAX; sets * cfg.assoc],
-            stamps: vec![0; sets * cfg.assoc],
-            clock: 0,
             sets,
             line_shift: cfg.line.trailing_zeros(),
             cfg,
@@ -81,36 +83,25 @@ impl Cache {
 
     /// Looks up the line containing `addr`, filling it on a miss.
     /// Returns `true` on a hit.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.stats.accesses += 1;
-        self.clock += 1;
         let line = addr >> self.line_shift;
         let set = (line as usize) & (self.sets - 1);
-        let base = set * self.cfg.assoc;
-        let ways = &mut self.tags[base..base + self.cfg.assoc];
-        if let Some(way) = ways.iter().position(|&t| t == line) {
-            self.stamps[base + way] = self.clock;
-            return true;
-        }
-        self.stats.misses += 1;
-        // Choose victim: empty way first, else LRU.
-        let victim = match ways.iter().position(|&t| t == u64::MAX) {
-            Some(w) => w,
-            None => {
-                let mut lru = 0;
-                let mut lru_stamp = u64::MAX;
-                for (w, &s) in self.stamps[base..base + self.cfg.assoc].iter().enumerate() {
-                    if s < lru_stamp {
-                        lru_stamp = s;
-                        lru = w;
-                    }
-                }
-                lru
+        let assoc = self.cfg.assoc;
+        let ways = &mut self.tags[set * assoc..(set + 1) * assoc];
+        match ways.iter().position(|&t| t == line) {
+            Some(way) => {
+                ways[..=way].rotate_right(1);
+                true
             }
-        };
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.clock;
-        false
+            None => {
+                self.stats.misses += 1;
+                ways.rotate_right(1);
+                ways[0] = line;
+                false
+            }
+        }
     }
 
     /// Returns `true` if the line containing `addr` is resident, without
@@ -151,6 +142,46 @@ pub struct Access {
     pub penalty: u64,
 }
 
+/// What an access satisfied at each level costs beyond a first-level hit:
+/// the L2 and LLC latencies, and the DRAM latency plus the queuing delay
+/// of the bandwidth-limited channel. The channel is the only part of the
+/// memory system whose state depends on timing.
+#[derive(Debug, Clone)]
+pub(crate) struct MissCost {
+    l2_latency: u64,
+    l3_latency: u64,
+    dram: Dram,
+}
+
+impl MissCost {
+    pub(crate) fn new(cfg: &UarchConfig) -> Self {
+        MissCost {
+            l2_latency: cfg.l2.latency,
+            l3_latency: cfg.l3.latency,
+            dram: Dram::new(cfg.mem, cfg.l3.line),
+        }
+    }
+
+    /// Penalty of an access satisfied at `level`, issued at cycle `now`.
+    #[inline]
+    pub(crate) fn penalty(&mut self, level: HitLevel, now: u64) -> u64 {
+        match level {
+            HitLevel::L1 => 0,
+            HitLevel::L2 => self.l2_latency,
+            HitLevel::L3 => self.l3_latency,
+            HitLevel::Memory => self.l3_latency + self.dram.latency() + self.dram.access(now),
+        }
+    }
+
+    pub(crate) fn dram(&self) -> &Dram {
+        &self.dram
+    }
+
+    fn reset_stats(&mut self) {
+        self.dram.reset_stats();
+    }
+}
+
 /// Three-level cache hierarchy plus DRAM.
 #[derive(Debug, Clone)]
 pub struct MemoryHierarchy {
@@ -158,9 +189,7 @@ pub struct MemoryHierarchy {
     l1d: Cache,
     l2: Cache,
     l3: Cache,
-    dram: Dram,
-    l2_latency: u64,
-    l3_latency: u64,
+    cost: MissCost,
 }
 
 impl MemoryHierarchy {
@@ -171,28 +200,22 @@ impl MemoryHierarchy {
             l1d: Cache::new(cfg.l1d),
             l2: Cache::new(cfg.l2),
             l3: Cache::new(cfg.l3),
-            dram: Dram::new(cfg.mem, cfg.l3.line),
-            l2_latency: cfg.l2.latency,
-            l3_latency: cfg.l3.latency,
+            cost: MissCost::new(cfg),
         }
     }
 
     fn walk(&mut self, addr: u64, instruction: bool, now: u64) -> Access {
         let l1 = if instruction { &mut self.l1i } else { &mut self.l1d };
-        if l1.access(addr) {
-            return Access { level: HitLevel::L1, penalty: 0 };
-        }
-        if self.l2.access(addr) {
-            return Access { level: HitLevel::L2, penalty: self.l2_latency };
-        }
-        if self.l3.access(addr) {
-            return Access { level: HitLevel::L3, penalty: self.l3_latency };
-        }
-        let queue = self.dram.access(now);
-        Access {
-            level: HitLevel::Memory,
-            penalty: self.l3_latency + self.dram.latency() + queue,
-        }
+        let level = if l1.access(addr) {
+            HitLevel::L1
+        } else if self.l2.access(addr) {
+            HitLevel::L2
+        } else if self.l3.access(addr) {
+            HitLevel::L3
+        } else {
+            HitLevel::Memory
+        };
+        Access { level, penalty: self.cost.penalty(level, now) }
     }
 
     /// Instruction-fetch access at `pc`.
@@ -228,7 +251,7 @@ impl MemoryHierarchy {
 
     /// Total bytes transferred from DRAM.
     pub fn dram_bytes(&self) -> u64 {
-        self.dram.bytes_transferred()
+        self.cost.dram().bytes_transferred()
     }
 
     /// Resets all statistics (warm contents are preserved).
@@ -237,13 +260,8 @@ impl MemoryHierarchy {
         self.l1d.reset_stats();
         self.l2.reset_stats();
         self.l3.reset_stats();
-        self.dram.reset_stats();
+        self.cost.reset_stats();
     }
-}
-
-/// Memory-model parameters view used by cores.
-pub fn mem_config(cfg: &UarchConfig) -> MemConfig {
-    cfg.mem
 }
 
 #[cfg(test)]

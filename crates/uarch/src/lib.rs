@@ -9,7 +9,8 @@
 //!   overhead breakdowns run on, exactly as in §IV-B.2 of the paper.
 //! * [`OooCore`] — approximate out-of-order model (issue width, ROB,
 //!   bounded memory-level parallelism, branch mispredict flushes); used for
-//!   the Fig. 7–9 parameter sweeps.
+//!   the Fig. 7–9 parameter sweeps. [`OooFanout`] runs K configurations
+//!   over one op stream, sharing caches and predictors between them.
 //! * [`MemoryHierarchy`] — L1I/L1D + L2 + LLC with true LRU and
 //!   write-allocate, backed by a bandwidth-limited [`Dram`] channel.
 //! * [`BranchUnit`] — two-level direction predictor + BTB + return stack,
@@ -46,7 +47,7 @@ pub use branch::{BranchStats, BranchUnit, Btb, ReturnStack, TwoLevelPredictor};
 pub use cache::{Access, Cache, CacheStats, HitLevel, MemoryHierarchy};
 pub use config::{BranchConfig, CacheConfig, CoreConfig, MemConfig, UarchConfig};
 pub use dram::Dram;
-pub use ooo::OooCore;
+pub use ooo::{OooCore, OooFanout};
 pub use simple::SimpleCore;
 pub use stats::ExecutionStats;
 pub use trace::TraceBuffer;

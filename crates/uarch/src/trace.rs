@@ -8,7 +8,7 @@
 //! simulation methodology.
 
 use crate::stats::ExecutionStats;
-use crate::{OooCore, SimpleCore, UarchConfig};
+use crate::{OooFanout, SimpleCore, UarchConfig};
 use qoa_model::{FrameEvent, MicroOp, OpSink, Phase};
 
 /// An in-memory micro-op trace.
@@ -93,11 +93,19 @@ impl TraceBuffer {
         core.finish()
     }
 
-    /// Replays through a fresh [`OooCore`] built from `cfg`.
+    /// Replays through a fresh [`OooCore`](crate::OooCore) built from `cfg`.
     pub fn simulate_ooo(&self, cfg: &UarchConfig) -> ExecutionStats {
-        let mut core = OooCore::new(cfg);
-        self.replay(&mut core);
-        core.finish()
+        self.simulate_ooo_fanout(std::slice::from_ref(cfg)).pop().expect("one configuration")
+    }
+
+    /// Replays once through an [`OooFanout`] over `cfgs`: one
+    /// [`ExecutionStats`] per configuration, in order, each equal to what
+    /// [`TraceBuffer::simulate_ooo`] returns for it. The OOO core ignores
+    /// phase changes and frame events, so the ops alone are fed.
+    pub fn simulate_ooo_fanout(&self, cfgs: &[UarchConfig]) -> Vec<ExecutionStats> {
+        let mut fan = OooFanout::new(cfgs);
+        fan.ops(&self.ops);
+        fan.finish()
     }
 }
 

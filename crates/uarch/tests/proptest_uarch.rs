@@ -29,6 +29,42 @@ proptest! {
         prop_assert!(c.resident_lines() as u64 <= cfg.size / cfg.line);
     }
 
+    /// Each set kept in recency order hits and misses exactly like LRU
+    /// by timestamps: the victim is an empty way, else the way touched
+    /// least recently.
+    #[test]
+    fn cache_matches_a_timestamp_lru(
+        cfg in small_cache_config(),
+        addrs in proptest::collection::vec(0u64..8192, 1..400),
+    ) {
+        let mut c = Cache::new(cfg);
+        let sets = cfg.sets() as u64;
+        let mut tags: Vec<Option<u64>> = vec![None; sets as usize * cfg.assoc];
+        let mut stamps = vec![0u64; tags.len()];
+        for (clock, &addr) in (1u64..).zip(&addrs) {
+            let line = addr / cfg.line;
+            let base = (line % sets) as usize * cfg.assoc;
+            let ways = base..base + cfg.assoc;
+            let hit = match ways.clone().find(|&w| tags[w] == Some(line)) {
+                Some(w) => {
+                    stamps[w] = clock;
+                    true
+                }
+                None => {
+                    let victim = ways
+                        .clone()
+                        .find(|&w| tags[w].is_none())
+                        .or_else(|| ways.clone().min_by_key(|&w| stamps[w]))
+                        .expect("a set has ways");
+                    tags[victim] = Some(line);
+                    stamps[victim] = clock;
+                    false
+                }
+            };
+            prop_assert_eq!(c.access(addr), hit, "access to {}", addr);
+        }
+    }
+
     /// Immediately repeated accesses always hit.
     #[test]
     fn repeat_access_hits(

@@ -6,14 +6,18 @@
 //! routes must produce the same `ExecutionStats`, field for field, under
 //! every run-time — and a streamed cell recovered from seeded faults must
 //! equal its fault-free twin, because each checkpoint clones the core
-//! along with the machine.
+//! along with the machine. A µarch sweep replays one capture through a
+//! fan-out of OOO lanes, and each lane must equal a core streamed from a
+//! run of its own.
 
 use qoa_chaos::FaultPlan;
 use qoa_core::harness::{run_cell, CellChaos};
 use qoa_core::{
     breakdown_cell, capture, cell_seed, fault_kinds_for, nursery_cell, run_chaos_with_sink,
-    Breakdown, CellKey, ChaosOptions, Harness, HarnessOptions, RuntimeConfig, SinkRun,
+    run_with_sink, Breakdown, CellKey, ChaosOptions, Harness, HarnessOptions, RuntimeConfig,
+    SinkRun,
 };
+use qoa_core::sweeps::{fig7_runtimes, sweep_trace, SweepParam, SCALED_DEFAULT_NURSERY};
 use qoa_model::{Phase, RuntimeKind};
 use qoa_uarch::{ExecutionStats, OooCore, SimpleCore, UarchConfig};
 use qoa_workloads::{by_name, Scale};
@@ -78,6 +82,34 @@ fn streamed_cells_match_capture_and_replay() {
         }
     }
     assert!(collections >= 10, "the nursery cells must exercise the GC: {collections}");
+}
+
+#[test]
+fn sweep_points_match_streamed_single_configuration_cores() {
+    let base = UarchConfig::skylake();
+    for name in ["regex_compile", "template_render"] {
+        // A third of the tiny size: every sweep point below is a guest run
+        // of its own, 36 per run-time.
+        let w = by_name(name).expect("workload");
+        let src = w.source_with_n(w.base / 3);
+        for rt in fig7_runtimes() {
+            let rt = rt.with_nursery(SCALED_DEFAULT_NURSERY);
+            let trace = capture(&src, &rt).expect("capture").trace;
+            for param in SweepParam::ALL {
+                for point in sweep_trace(&trace, param, &base) {
+                    let cfg = param.apply(&base, point.value);
+                    let (core, ..) = run_with_sink(&src, &rt, OooCore::new(&cfg)).expect("run");
+                    assert_eq!(
+                        point.stats,
+                        core.finish(),
+                        "{name} {:?} {param:?} @ {}",
+                        rt.kind,
+                        point.value
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
