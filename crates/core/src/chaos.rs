@@ -20,7 +20,7 @@
 
 use crate::error::QoaError;
 use crate::journal::{CellMetrics, Metric};
-use crate::runtime::{trace_sink, CapturedRun, Machine, RuntimeConfig, SinkRun};
+use crate::runtime::{trace_sink, CapturedRun, Machine, Prepared, RuntimeConfig, SinkRun};
 use qoa_chaos::{ChaosState, FaultKind, FaultPlan, Snapshot};
 use qoa_frontend::CodeObject;
 use qoa_model::{OpSink, RuntimeKind};
@@ -279,6 +279,8 @@ pub fn capture_chaos(
 /// core model as the sink makes each checkpoint a fixed-size copy; a
 /// [`TraceBuffer`] makes it grow with the run.
 ///
+/// A thin wrapper: [`Prepared::compile`], then [`Prepared::run_chaos`].
+///
 /// [`run_with_sink`]: crate::runtime::run_with_sink
 /// [`TraceBuffer`]: qoa_uarch::TraceBuffer
 ///
@@ -291,44 +293,59 @@ pub fn run_chaos_with_sink<S: OpSink + Clone>(
     opts: &ChaosOptions,
     sink: S,
 ) -> Result<(SinkRun<S>, ChaosOutcome), QoaError> {
-    let mut out = ChaosOutcome::default();
-    let code = qoa_frontend::compile(source)?;
+    Prepared::compile(source, rt)?.run_chaos(rt, opts, sink)
+}
 
-    let mut chaos = ChaosState::new(opts.plan.clone());
-    if opts.degrade_jit {
-        chaos = chaos.with_degrade_jit();
-    }
-
-    // Load-time faults: present a corrupted code object; the verifier is
-    // the recovery path. Whether or not it catches the corruption, the
-    // pristine code is what loads — the oracle must hold — but a miss is
-    // counted so the verifier's coverage gap is visible.
-    let mut corrupt_salt = 0u64;
-    while let Some(rec) = {
-        let c = &mut chaos;
-        c.poll_at_load(FaultKind::BytecodeCorrupt)
-    } {
-        corrupt_salt = corrupt_salt.wrapping_add(1);
-        let bad = corrupt_code(&code, opts.plan.seed.wrapping_add(corrupt_salt));
-        match qoa_analysis::verify_code(&bad) {
-            Err(_) => out.verifier_caught += 1,
-            Ok(_) => out.verifier_missed += 1,
+impl Prepared {
+    /// Runs the prepared code under `rt` into `sink` with the fault plan
+    /// in `opts` armed: the chaos form of [`Prepared::run`], recovering
+    /// injected faults as [`run_chaos_with_sink`] describes.
+    ///
+    /// # Errors
+    ///
+    /// As [`capture_chaos`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Prepared::run`].
+    pub fn run_chaos<S: OpSink + Clone>(
+        &self,
+        rt: &RuntimeConfig,
+        opts: &ChaosOptions,
+        sink: S,
+    ) -> Result<(SinkRun<S>, ChaosOutcome), QoaError> {
+        let mut out = ChaosOutcome::default();
+        let mut chaos = ChaosState::new(opts.plan.clone());
+        if opts.degrade_jit {
+            chaos = chaos.with_degrade_jit();
         }
-        out.note(rec.kind, true);
-        // The injection is fully handled here; don't let it linger as
-        // "last injected" into the run.
-        let _ = chaos.take_last_injected();
-    }
 
-    // Optimization happens after the load-time corruption probes: the
-    // corruption/verifier drill exercises the pristine compiler output,
-    // while the code that actually loads is the optimized form, so the
-    // chaos oracle also covers the optimizer.
-    let (code, verified) = crate::runtime::prepare(code, rt)?;
-    let mut machine = Machine::load(&code, verified.as_ref(), rt, sink);
-    machine.vm_mut().arm_chaos(chaos);
-    let machine = drive(machine, opts.checkpoint_every, &mut out)?;
-    Ok((machine.finish(), out))
+        // Load-time faults: present a corrupted code object; the verifier
+        // is the recovery path. Whether or not it catches the corruption,
+        // the prepared code is what loads — the oracle must hold — but a
+        // miss is counted so the verifier's coverage gap is visible. The
+        // drill corrupts the pristine compiler output, while the code that
+        // actually loads is the optimized form, so the chaos oracle also
+        // covers the optimizer.
+        let mut corrupt_salt = 0u64;
+        while let Some(rec) = chaos.poll_at_load(FaultKind::BytecodeCorrupt) {
+            corrupt_salt = corrupt_salt.wrapping_add(1);
+            let bad = corrupt_code(self.compiled(), opts.plan.seed.wrapping_add(corrupt_salt));
+            match qoa_analysis::verify_code(&bad) {
+                Err(_) => out.verifier_caught += 1,
+                Ok(_) => out.verifier_missed += 1,
+            }
+            out.note(rec.kind, true);
+            // The injection is fully handled here; don't let it linger as
+            // "last injected" into the run.
+            let _ = chaos.take_last_injected();
+        }
+
+        let mut machine = self.load(rt, sink);
+        machine.vm_mut().arm_chaos(chaos);
+        let machine = drive(machine, opts.checkpoint_every, &mut out)?;
+        Ok((machine.finish(), out))
+    }
 }
 
 /// The differential oracle: asserts a faulted-then-recovered run is

@@ -154,8 +154,9 @@ impl From<SinkRun<TraceBuffer>> for CapturedRun {
 }
 
 /// Runs `source` under `rt` with wall-clock spans recorded into `obs`
-/// for every pipeline stage (parse, compile, verify, execute) and guest
-/// frame events captured in the trace for the sampling profiler.
+/// for every pipeline stage (parse, compile, verify or optimize,
+/// execute) and guest frame events captured in the trace for the
+/// sampling profiler.
 ///
 /// The captured trace and statistics are identical to [`capture`] with
 /// observability enabled — this entry point only adds the wall spans.
@@ -175,22 +176,19 @@ pub fn capture_observed(
     let code = obs
         .wall_span("compile", || qoa_frontend::compile_module(&module))
         .map_err(qoa_frontend::FrontendError::from)?;
-    let (code, verified) = if rt.opt_level > 0 {
-        let (v, _report) = obs.wall_span("optimize", || qoa_analysis::optimize(&code, rt.opt_level))?;
-        let code = Rc::clone(v.get());
-        (code, rt.elide_checks.then_some(v))
+    let stage = if rt.opt_level > 0 {
+        Some("optimize")
+    } else if rt.elide_checks {
+        Some("verify")
     } else {
-        let verified = if rt.elide_checks {
-            Some(obs.wall_span("verify", || qoa_analysis::verify(&code))?)
-        } else {
-            None
-        };
-        (code, verified)
+        None
     };
-    obs.wall_span("execute", || {
-        run_compiled(&code, verified.as_ref(), rt, TraceBuffer::with_frame_capture())
-    })
-    .map(CapturedRun::from)
+    let prepared = match stage {
+        Some(stage) => obs.wall_span(stage, || Prepared::new(code, rt))?,
+        None => Prepared::new(code, rt)?,
+    };
+    obs.wall_span("execute", || prepared.run(rt, TraceBuffer::with_frame_capture()))
+        .map(CapturedRun::from)
 }
 
 /// Everything a runtime execution yields besides the trace: the sink,
@@ -199,6 +197,8 @@ pub type SinkRun<S> = (S, VmStats, JitStats, Vec<String>, Option<String>);
 
 /// Runs `source` under `rt` with an arbitrary sink (e.g. a core model
 /// directly, when trace memory is a concern).
+///
+/// A thin wrapper: [`Prepared::compile`], then [`Prepared::run`].
 ///
 /// # Errors
 ///
@@ -209,38 +209,93 @@ pub fn run_with_sink<S: OpSink>(
     rt: &RuntimeConfig,
     sink: S,
 ) -> Result<SinkRun<S>, QoaError> {
-    let code = qoa_frontend::compile(source)?;
-    let (code, verified) = prepare(code, rt)?;
-    run_compiled(&code, verified.as_ref(), rt, sink)
+    Prepared::compile(source, rt)?.run(rt, sink)
 }
 
-/// The code to load plus the elision token, when check elision is on.
-pub(crate) type Prepared = (Rc<CodeObject>, Option<Verified<Rc<CodeObject>>>);
+/// A program compiled and prepared for one `(opt_level, elide_checks)`
+/// pair: the code to load, the verifier's elision token when checks are
+/// elided, and the compiler's own output, which chaos load-time probes
+/// corrupt copies of.
+///
+/// One preparation serves any number of runs under any run-time kind,
+/// fuel or nursery, as long as the opt level and check elision match —
+/// so a caller running one program many ways (the fuzz oracle) compiles
+/// and verifies it once. Cloning shares the code.
+#[derive(Debug, Clone)]
+pub struct Prepared {
+    compiled: Rc<CodeObject>,
+    code: Rc<CodeObject>,
+    verified: Option<Verified<Rc<CodeObject>>>,
+    opt_level: u8,
+    elide_checks: bool,
+}
 
-/// Optimizes (when `opt_level > 0`) and verifies compiled code per `rt`.
-/// Optimized code is *always* re-verified — the [`Verified`] token is
-/// simply dropped when check elision is off.
-pub(crate) fn prepare(code: Rc<CodeObject>, rt: &RuntimeConfig) -> Result<Prepared, QoaError> {
-    if rt.opt_level > 0 {
-        let (v, _report) = qoa_analysis::optimize(&code, rt.opt_level)?;
-        let code = Rc::clone(v.get());
-        Ok((code, rt.elide_checks.then_some(v)))
-    } else {
-        let verified = if rt.elide_checks { Some(qoa_analysis::verify(&code)?) } else { None };
-        Ok((code, verified))
+impl Prepared {
+    /// Parses and compiles `source`, then prepares it per `rt`.
+    ///
+    /// # Errors
+    ///
+    /// A compile error, or a verification/optimization failure.
+    pub fn compile(source: &str, rt: &RuntimeConfig) -> Result<Prepared, QoaError> {
+        Prepared::new(qoa_frontend::compile(source)?, rt)
     }
-}
 
-/// Executes already-compiled (and optionally verified) code under `rt`.
-fn run_compiled<S: OpSink>(
-    code: &Rc<CodeObject>,
-    verified: Option<&Verified<Rc<CodeObject>>>,
-    rt: &RuntimeConfig,
-    sink: S,
-) -> Result<SinkRun<S>, QoaError> {
-    let mut machine = Machine::load(code, verified, rt, sink);
-    machine.run()?;
-    Ok(machine.finish())
+    /// Optimizes (when `opt_level > 0`) and verifies compiled code per
+    /// `rt`. Optimized code is *always* re-verified — the [`Verified`]
+    /// token is simply dropped when check elision is off.
+    ///
+    /// # Errors
+    ///
+    /// A verification or optimization failure.
+    pub fn new(compiled: Rc<CodeObject>, rt: &RuntimeConfig) -> Result<Prepared, QoaError> {
+        let (code, verified) = if rt.opt_level > 0 {
+            let (v, _report) = qoa_analysis::optimize(&compiled, rt.opt_level)?;
+            (Rc::clone(v.get()), rt.elide_checks.then_some(v))
+        } else {
+            let verified =
+                if rt.elide_checks { Some(qoa_analysis::verify(&compiled)?) } else { None };
+            (Rc::clone(&compiled), verified)
+        };
+        Ok(Prepared {
+            compiled,
+            code,
+            verified,
+            opt_level: rt.opt_level,
+            elide_checks: rt.elide_checks,
+        })
+    }
+
+    /// Runs the prepared code under `rt` into `sink`.
+    ///
+    /// # Errors
+    ///
+    /// A guest run-time error or resource cutoff (fuel, deadline,
+    /// simulated OOM).
+    ///
+    /// # Panics
+    ///
+    /// If `rt` asks for a different opt level or check elision than
+    /// this was prepared for.
+    pub fn run<S: OpSink>(&self, rt: &RuntimeConfig, sink: S) -> Result<SinkRun<S>, QoaError> {
+        let mut machine = self.load(rt, sink);
+        machine.run()?;
+        Ok(machine.finish())
+    }
+
+    /// The compiler's output, before optimization.
+    pub(crate) fn compiled(&self) -> &CodeObject {
+        &self.compiled
+    }
+
+    /// Builds the machine `rt` selects over `sink` with this code loaded.
+    pub(crate) fn load<S: OpSink>(&self, rt: &RuntimeConfig, sink: S) -> Machine<S> {
+        assert_eq!(
+            (rt.opt_level, rt.elide_checks),
+            (self.opt_level, self.elide_checks),
+            "run configuration differs from the one the code was prepared for"
+        );
+        Machine::load(&self.code, self.verified.as_ref(), rt, sink)
+    }
 }
 
 /// A loaded guest machine: the one place that dispatches on
@@ -258,7 +313,7 @@ pub(crate) enum Machine<S: OpSink> {
 impl<S: OpSink> Machine<S> {
     /// Builds the machine `rt` selects over `sink` and loads `code`,
     /// with dispatch guards elided when `verified` is given.
-    pub(crate) fn load(
+    fn load(
         code: &Rc<CodeObject>,
         verified: Option<&Verified<Rc<CodeObject>>>,
         rt: &RuntimeConfig,

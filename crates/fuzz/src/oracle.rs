@@ -15,13 +15,23 @@
 //! checked-interpreter baseline: the rendered `result` global, the
 //! printed output, and — when a tier fails — the same typed error. The
 //! chaos tier is additionally held to the strict PR-4 oracle against its
-//! fault-free twin (`interp-elided`): identical micro-op trace length and
-//! every [`ExecutionStats`] counter, byte for byte. Cross-tier
+//! fault-free twin (`interp-elided`): every [`ExecutionStats`] counter of
+//! a simple core fed by each run, byte for byte. `instructions` counts
+//! micro-ops, so this covers the trace length. Cross-tier
 //! *ExecutionStats* equality is deliberately **not** demanded — guard
 //! elision, the optimizer, and the JIT legitimately change the micro-op
-//! stream; what they may never change is what the program computes. So
-//! only the `chaos` tier and its twin keep their traces; every other
-//! tier runs into a `NullSink`.
+//! stream; what they may never change is what the program computes.
+//!
+//! No tier keeps a trace. The twin and the chaos tier stream their
+//! micro-ops straight into a [`SimpleCore`], so a chaos checkpoint
+//! clones a fixed-size core rather than a growing trace; every other
+//! tier runs into a `NullSink`. The source is compiled once per
+//! program, and each distinct `(opt level, check elision)` pair is
+//! prepared once: `interp-elided`, `jit` and `chaos` share one opt-0
+//! verification, and only a planted `opt2` program compiles separately.
+//! A compile or verify failure becomes the failure of every tier that
+//! uses that stage, with the error identity each tier would have
+//! reported compiling on its own.
 //!
 //! Fuel exhaustion in any tier makes the verdict [`Inconclusive`] rather
 //! than a divergence: optimized tiers execute different bytecode counts,
@@ -35,13 +45,15 @@
 
 use qoa_chaos::FaultPlan;
 use qoa_core::{
-    capture, capture_chaos, fault_kinds_for, oracle_check, run_isolated, run_with_sink,
-    CapturedRun, ChaosOptions, RunFailure, RuntimeConfig,
+    fault_kinds_for, run_isolated, stats_divergence, ChaosOptions, Prepared, RunFailure,
+    RuntimeConfig, SinkRun,
 };
 use qoa_frontend::ast::{Expr, ExprKind, Module, Stmt, StmtKind};
 use qoa_frontend::render::render_module;
-use qoa_model::{NullSink, RuntimeKind};
-use qoa_uarch::UarchConfig;
+use qoa_frontend::CodeObject;
+use qoa_model::{NullSink, OpSink, RuntimeKind};
+use qoa_uarch::{ExecutionStats, SimpleCore, UarchConfig};
+use std::rc::Rc;
 
 /// The six tier labels, in evaluation order.
 pub const TIER_NAMES: [&str; 6] =
@@ -231,47 +243,126 @@ impl FuzzVerdict {
 /// failure carries the typed error identity.
 type TierOutcome = Result<(Option<String>, Vec<String>), String>;
 
+/// A stage's product, or the error identity of the tiers it fails.
+type Staged<T> = Result<T, String>;
+
 fn failure_identity(failure: RunFailure) -> String {
     format!("{}: {}", failure.error.kind(), failure.error)
 }
 
-fn outcome_of(run: Result<CapturedRun, String>) -> (TierOutcome, Option<CapturedRun>) {
-    match run {
-        Ok(r) => {
-            let summary = (r.result.clone(), r.output.clone());
-            (Ok(summary), Some(r))
+/// The run-time configurations of the tiers; `chaos` runs under
+/// `elided`.
+struct Configs {
+    checked: RuntimeConfig,
+    elided: RuntimeConfig,
+    opt1: RuntimeConfig,
+    opt2: RuntimeConfig,
+    jit: RuntimeConfig,
+}
+
+impl Configs {
+    fn new() -> Configs {
+        let fueled = |rt: RuntimeConfig| RuntimeConfig { max_steps: ORACLE_FUEL, ..rt };
+        let elided = fueled(RuntimeConfig::new(RuntimeKind::CPython));
+        Configs {
+            checked: fueled(RuntimeConfig::new(RuntimeKind::CPython).with_check_elision(false)),
+            elided,
+            opt1: elided.with_opt_level(1),
+            opt2: elided.with_opt_level(2),
+            jit: fueled(RuntimeConfig::new(RuntimeKind::PyPyJit)),
+        }
+    }
+}
+
+/// Parses and compiles `source`, once for every tier that runs it.
+fn compile(source: &str) -> Staged<Rc<CodeObject>> {
+    run_isolated(|| Ok(qoa_frontend::compile(source)?)).map_err(failure_identity)
+}
+
+/// Prepares compiled code for `rt`'s opt level and check elision. A
+/// compile failure passes through as the failure of the tiers it feeds.
+fn prepare(compiled: &Staged<Rc<CodeObject>>, rt: &RuntimeConfig) -> Staged<Prepared> {
+    let code = Rc::clone(compiled.as_ref().map_err(Clone::clone)?);
+    run_isolated(|| Prepared::new(code, rt)).map_err(failure_identity)
+}
+
+/// Runs a prepared tier under `rt` into `sink`.
+fn run_tier<S: OpSink>(
+    prepared: &Staged<Prepared>,
+    rt: &RuntimeConfig,
+    sink: S,
+) -> Staged<SinkRun<S>> {
+    let prepared = prepared.as_ref().map_err(Clone::clone)?;
+    run_isolated(|| prepared.run(rt, sink)).map_err(failure_identity)
+}
+
+/// Runs a tier judged on its guest-visible outcome alone: the micro-ops
+/// go to a [`NullSink`].
+fn outcome_tier(prepared: &Staged<Prepared>, rt: &RuntimeConfig) -> TierOutcome {
+    run_tier(prepared, rt, NullSink).map(|(_, _, _, output, result)| (result, output))
+}
+
+/// The core model the strict chaos check streams both runs into.
+fn strict_core() -> SimpleCore {
+    SimpleCore::new(&UarchConfig::skylake())
+}
+
+/// The fault-free `interp-elided` run, as the chaos tier's twin: its
+/// bytecode count sets the fault horizon, and its core statistics are
+/// what the recovered chaos run must reproduce.
+struct Twin {
+    bytecodes: u64,
+    stats: ExecutionStats,
+}
+
+/// Runs the `interp-elided` tier streamed into a simple core.
+fn twin_tier(prepared: &Staged<Prepared>, rt: &RuntimeConfig) -> (TierOutcome, Option<Twin>) {
+    match run_tier(prepared, rt, strict_core()) {
+        Ok((core, vm, _, output, result)) => {
+            let twin = Twin { bytecodes: vm.bytecodes, stats: core.finish() };
+            (Ok((result, output)), Some(twin))
         }
         Err(e) => (Err(e), None),
     }
 }
 
-/// Runs a tier whose trace the strict oracle compares.
-fn capture_tier(source: &str, rt: &RuntimeConfig) -> (TierOutcome, Option<CapturedRun>) {
-    outcome_of(run_isolated(|| capture(source, rt)).map_err(failure_identity))
-}
-
-/// Runs a tier judged on its guest-visible outcome alone: the micro-ops
-/// go to a [`NullSink`], so no trace is stored.
-fn outcome_tier(source: &str, rt: &RuntimeConfig) -> TierOutcome {
-    run_isolated(|| run_with_sink(source, rt, NullSink))
-        .map(|(_, _, _, output, result)| (result, output))
-        .map_err(failure_identity)
+/// The chaos tier's fault plan and checkpoint cadence, for a fault-free
+/// twin that executes `horizon` bytecodes: six seeded interpreter
+/// faults over the run, a checkpoint every quarter of it.
+pub fn chaos_options(chaos_seed: u64, horizon: u64) -> ChaosOptions {
+    let plan = FaultPlan::seeded(chaos_seed, horizon, 6, fault_kinds_for(RuntimeKind::CPython));
+    ChaosOptions::new(plan).with_checkpoint_every((horizon / 4).max(64))
 }
 
 /// Runs the chaos tier: seeded interpreter faults with snapshot
-/// recovery, the horizon taken from the fault-free twin so faults land
-/// mid-run.
+/// recovery, streamed into a simple core, the horizon taken from the
+/// fault-free twin so faults land mid-run.
 fn chaos_tier(
-    source: &str,
+    prepared: &Staged<Prepared>,
     rt: &RuntimeConfig,
-    twin: Option<&CapturedRun>,
+    twin: Option<&Twin>,
     chaos_seed: u64,
-) -> (TierOutcome, Option<CapturedRun>) {
-    let horizon = twin.map_or(1024, |r| r.vm.bytecodes.max(1));
-    let plan = FaultPlan::seeded(chaos_seed, horizon, 6, fault_kinds_for(RuntimeKind::CPython));
-    let opts = ChaosOptions::new(plan).with_checkpoint_every((horizon / 4).max(64));
-    let run = run_isolated(|| capture_chaos(source, rt, &opts));
-    outcome_of(run.map(|(run, _outcome)| run).map_err(failure_identity))
+) -> (TierOutcome, Option<ExecutionStats>) {
+    let opts = chaos_options(chaos_seed, twin.map_or(1024, |t| t.bytecodes.max(1)));
+    let run = prepared.as_ref().map_err(Clone::clone).and_then(|prepared| {
+        run_isolated(|| prepared.run_chaos(rt, &opts, strict_core())).map_err(failure_identity)
+    });
+    match run {
+        Ok(((core, _, _, output, result), _outcome)) => {
+            (Ok((result, output)), Some(core.finish()))
+        }
+        Err(e) => (Err(e), None),
+    }
+}
+
+/// The strict chaos check: the recovered run's core statistics against
+/// its fault-free twin's. The guest result and output are compared tier
+/// by tier against the baseline, so only the statistics remain.
+fn strict_divergence(twin: Option<&Twin>, chaos: Option<&ExecutionStats>) -> Option<String> {
+    match (twin, chaos) {
+        (Some(twin), Some(chaos)) => stats_divergence(&twin.stats, chaos),
+        _ => None,
+    }
 }
 
 fn describe(outcome: &TierOutcome) -> String {
@@ -287,39 +378,46 @@ fn is_fuel(outcome: &TierOutcome) -> bool {
     matches!(outcome, Err(e) if e.starts_with("fuel"))
 }
 
+/// The code the `opt2` tier compiles: the planted program when `plant`
+/// applies, else the shared compile.
+fn opt2_compile(
+    source: &str,
+    compiled: Staged<Rc<CodeObject>>,
+    plant: Option<BugPlant>,
+) -> Staged<Rc<CodeObject>> {
+    match plant.and_then(|p| plant_bug(source, p)) {
+        Some(planted) => compile(&planted),
+        None => compiled,
+    }
+}
+
 /// Runs the full six-tier differential oracle on `source`.
 ///
 /// `chaos_seed` seeds the chaos tier's fault plan. When `plant` is set,
 /// the planted program text is what the `opt2` tier executes — modeling
 /// a miscompile confined to that tier.
 pub fn differential(source: &str, chaos_seed: u64, plant: Option<BugPlant>) -> FuzzVerdict {
-    let mut rt_checked = RuntimeConfig::new(RuntimeKind::CPython).with_check_elision(false);
-    rt_checked.max_steps = ORACLE_FUEL;
-    let mut rt_elided = RuntimeConfig::new(RuntimeKind::CPython);
-    rt_elided.max_steps = ORACLE_FUEL;
-    let rt_opt1 = rt_elided.with_opt_level(1);
-    let rt_opt2 = rt_elided.with_opt_level(2);
-    let mut rt_jit = RuntimeConfig::new(RuntimeKind::PyPyJit);
-    rt_jit.max_steps = ORACLE_FUEL;
+    let rt = Configs::new();
+    let compiled = compile(source);
 
     // Baseline: the checked interpreter.
-    let baseline = outcome_tier(source, &rt_checked);
+    let baseline = outcome_tier(&prepare(&compiled, &rt.checked), &rt.checked);
     if is_fuel(&baseline) {
         return FuzzVerdict::Inconclusive;
     }
 
-    // The fault-free elided run doubles as the chaos tier's strict twin.
-    let (elided, elided_run) = capture_tier(source, &rt_elided);
-
-    let planted_source = plant.and_then(|p| plant_bug(source, p));
-    let opt2_source: &str = planted_source.as_deref().unwrap_or(source);
-
-    let (chaos, chaos_run) = chaos_tier(source, &rt_elided, elided_run.as_ref(), chaos_seed);
+    // One opt-0 verification serves `interp-elided`, `jit` and `chaos`;
+    // the fault-free elided run doubles as the chaos tier's strict twin.
+    let elided = prepare(&compiled, &rt.elided);
+    let (elided_outcome, twin) = twin_tier(&elided, &rt.elided);
+    let (chaos, chaos_stats) = chaos_tier(&elided, &rt.elided, twin.as_ref(), chaos_seed);
+    let opt1 = prepare(&compiled, &rt.opt1);
+    let opt2 = prepare(&opt2_compile(source, compiled, plant), &rt.opt2);
     let tiers: [(&'static str, TierOutcome); 5] = [
-        ("interp-elided", elided),
-        ("opt1", outcome_tier(source, &rt_opt1)),
-        ("opt2", outcome_tier(opt2_source, &rt_opt2)),
-        ("jit", outcome_tier(source, &rt_jit)),
+        ("interp-elided", elided_outcome),
+        ("opt1", outcome_tier(&opt1, &rt.opt1)),
+        ("opt2", outcome_tier(&opt2, &rt.opt2)),
+        ("jit", outcome_tier(&elided, &rt.jit)),
         ("chaos", chaos),
     ];
 
@@ -339,18 +437,14 @@ pub fn differential(source: &str, chaos_seed: u64, plant: Option<BugPlant>) -> F
             });
         }
     }
-    // The chaos tier must additionally be byte-identical to its
-    // fault-free twin: trace length and every ExecutionStats counter.
-    if let (Some(twin), Some(chaos_run)) = (&elided_run, &chaos_run) {
-        if let Some(div) = oracle_check(twin, chaos_run, &UarchConfig::skylake()) {
-            return FuzzVerdict::Diverge(Divergence {
-                tier: "chaos".to_string(),
-                detail: format!("strict oracle vs interp-elided: {div}"),
-            });
-        }
+    if let Some(div) = strict_divergence(twin.as_ref(), chaos_stats.as_ref()) {
+        return FuzzVerdict::Diverge(Divergence {
+            tier: "chaos".to_string(),
+            detail: format!("strict oracle vs interp-elided: {div}"),
+        });
     }
 
-    let bytecodes = elided_run.as_ref().map_or(0, |r| r.vm.bytecodes);
+    let bytecodes = twin.map_or(0, |t| t.bytecodes);
     let result = match baseline {
         Ok((result, _)) => result,
         Err(_) => None,
@@ -367,12 +461,9 @@ pub fn differential(source: &str, chaos_seed: u64, plant: Option<BugPlant>) -> F
 /// either run yields `false`: inconclusive candidates never count as
 /// still-failing. An unknown tier name falls back to the full oracle.
 pub fn tier_diverges(source: &str, tier: &str, chaos_seed: u64, plant: Option<BugPlant>) -> bool {
-    let mut rt_checked = RuntimeConfig::new(RuntimeKind::CPython).with_check_elision(false);
-    rt_checked.max_steps = ORACLE_FUEL;
-    let mut rt_elided = RuntimeConfig::new(RuntimeKind::CPython);
-    rt_elided.max_steps = ORACLE_FUEL;
-
-    let baseline = outcome_tier(source, &rt_checked);
+    let rt = Configs::new();
+    let compiled = compile(source);
+    let baseline = outcome_tier(&prepare(&compiled, &rt.checked), &rt.checked);
     if is_fuel(&baseline) {
         return false;
     }
@@ -380,36 +471,27 @@ pub fn tier_diverges(source: &str, tier: &str, chaos_seed: u64, plant: Option<Bu
     let outcome = match tier {
         // The baseline cannot diverge from itself.
         "interp-checked" => return false,
-        "interp-elided" => outcome_tier(source, &rt_elided),
-        "opt1" => outcome_tier(source, &rt_elided.with_opt_level(1)),
+        "interp-elided" => outcome_tier(&prepare(&compiled, &rt.elided), &rt.elided),
+        "opt1" => outcome_tier(&prepare(&compiled, &rt.opt1), &rt.opt1),
         "opt2" => {
-            let planted = plant.and_then(|p| plant_bug(source, p));
-            let opt2_source: &str = planted.as_deref().unwrap_or(source);
-            outcome_tier(opt2_source, &rt_elided.with_opt_level(2))
+            let opt2 = prepare(&opt2_compile(source, compiled, plant), &rt.opt2);
+            outcome_tier(&opt2, &rt.opt2)
         }
-        "jit" => {
-            let mut rt_jit = RuntimeConfig::new(RuntimeKind::PyPyJit);
-            rt_jit.max_steps = ORACLE_FUEL;
-            outcome_tier(source, &rt_jit)
-        }
+        "jit" => outcome_tier(&prepare(&compiled, &rt.jit), &rt.jit),
         "chaos" => {
             // The chaos tier needs its fault-free elided twin for the
-            // fault horizon and the strict oracle.
-            let (twin_outcome, twin_run) = capture_tier(source, &rt_elided);
+            // fault horizon and the strict check.
+            let elided = prepare(&compiled, &rt.elided);
+            let (twin_outcome, twin) = twin_tier(&elided, &rt.elided);
             if is_fuel(&twin_outcome) {
                 return false;
             }
-            let (outcome, run) = chaos_tier(source, &rt_elided, twin_run.as_ref(), chaos_seed);
+            let (outcome, stats) = chaos_tier(&elided, &rt.elided, twin.as_ref(), chaos_seed);
             if is_fuel(&outcome) {
                 return false;
             }
-            if outcome != baseline {
-                return true;
-            }
-            if let (Some(twin), Some(chaos_run)) = (&twin_run, &run) {
-                return oracle_check(twin, chaos_run, &UarchConfig::skylake()).is_some();
-            }
-            return false;
+            return outcome != baseline
+                || strict_divergence(twin.as_ref(), stats.as_ref()).is_some();
         }
         _ => return differential(source, chaos_seed, plant).diverged(),
     };
@@ -466,6 +548,21 @@ mod tests {
         let planted =
             plant_bug("x = 5 - 2\n", BugPlant::SwapSubOperands).expect("has a sub site");
         assert!(planted.contains("2 - 5"), "{planted}");
+    }
+
+    #[test]
+    fn compile_errors_fail_every_tier_alike() {
+        // One shared compile: its error is every tier's outcome, so the
+        // tiers agree on it, exactly as when each tier compiled alone.
+        let src = "x = (1 +\nresult = x\n";
+        assert!(qoa_frontend::compile(src).is_err());
+        match differential(src, 5, Some(BugPlant::SwapSubOperands)) {
+            FuzzVerdict::Agree { result, bytecodes } => assert_eq!((result, bytecodes), (None, 0)),
+            other => panic!("identical compile errors should agree: {other:?}"),
+        }
+        for tier in TIER_NAMES {
+            assert!(!tier_diverges(src, tier, 5, None), "{tier}");
+        }
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! win, and it is reported by `fig04-static --opt`, not hidden here.
 
 use qoa::chaos::FaultPlan;
-use qoa::core::runtime::{capture, RuntimeConfig};
-use qoa::core::{capture_chaos, fault_kinds_for, ChaosOptions};
-use qoa::model::RuntimeKind;
+use qoa::core::runtime::{run_with_sink, RuntimeConfig};
+use qoa::core::{fault_kinds_for, run_chaos_with_sink, ChaosOptions};
+use qoa::model::{NullSink, RuntimeKind};
 use qoa::workloads::{Scale, Workload};
 
 /// What the guest can observe from one run: the `result` global, stdout,
@@ -26,8 +26,8 @@ enum Observed {
 
 fn observe(w: &Workload, level: u8) -> Observed {
     let rt = RuntimeConfig::new(RuntimeKind::CPython).with_opt_level(level);
-    match capture(&w.source(Scale::Tiny), &rt) {
-        Ok(run) => Observed::Ok { result: run.result, output: run.output },
+    match run_with_sink(&w.source(Scale::Tiny), &rt, NullSink) {
+        Ok((_, _, _, output, result)) => Observed::Ok { result, output },
         Err(e) => Observed::Err(e.to_string()),
     }
 }
@@ -72,19 +72,21 @@ fn optimized_chaos_runs_match_unoptimized_baselines() {
     for (name, seed) in [("go", 7u64), ("richards", 11), ("float", 13)] {
         let w = qoa::workloads::by_name(name).expect("workload");
         let src = w.source(Scale::Tiny);
-        let baseline =
-            capture(&src, &RuntimeConfig::new(RuntimeKind::CPython)).expect("baseline runs");
+        let (_, _, _, baseline_output, baseline_result) =
+            run_with_sink(&src, &RuntimeConfig::new(RuntimeKind::CPython), NullSink)
+                .expect("baseline runs");
         let rt = RuntimeConfig::new(RuntimeKind::CPython)
             .with_opt_level(qoa::analysis::MAX_OPT_LEVEL);
         let plan = FaultPlan::seeded(seed, 20_000, 3, kinds);
-        let (run, outcome) =
-            capture_chaos(&src, &rt, &ChaosOptions::new(plan)).expect("chaos run recovers");
+        let ((_, _, _, output, result), outcome) =
+            run_chaos_with_sink(&src, &rt, &ChaosOptions::new(plan), NullSink)
+                .expect("chaos run recovers");
         assert!(
             outcome.faults_injected_total() > 0,
             "{name}: seeded plan injected nothing — composition untested"
         );
-        assert_eq!(run.result, baseline.result, "{name}: result diverged under opt+chaos");
-        assert_eq!(run.output, baseline.output, "{name}: output diverged under opt+chaos");
+        assert_eq!(result, baseline_result, "{name}: result diverged under opt+chaos");
+        assert_eq!(output, baseline_output, "{name}: output diverged under opt+chaos");
     }
 }
 

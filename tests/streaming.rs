@@ -8,19 +8,23 @@
 //! equal its fault-free twin, because each checkpoint clones the core
 //! along with the machine. A µarch sweep replays one capture through a
 //! fan-out of OOO lanes, and each lane must equal a core streamed from a
-//! run of its own.
+//! run of its own. The fuzz oracle's strict chaos check streams its
+//! fault-free twin and its chaos tier into simple cores, and each stream
+//! must equal a replay of the trace it used to capture.
 
 use qoa_chaos::FaultPlan;
 use qoa_core::harness::{run_cell, CellChaos};
 use qoa_core::{
-    breakdown_cell, capture, cell_seed, fault_kinds_for, nursery_cell, run_chaos_with_sink,
-    run_with_sink, Breakdown, CellKey, ChaosOptions, Harness, HarnessOptions, RuntimeConfig,
-    SinkRun,
+    breakdown_cell, capture, capture_chaos, cell_seed, fault_kinds_for, nursery_cell,
+    run_chaos_with_sink, run_with_sink, Breakdown, CellKey, ChaosOptions, Harness,
+    HarnessOptions, RuntimeConfig, SinkRun,
 };
 use qoa_core::sweeps::{fig7_runtimes, sweep_trace, SweepParam, SCALED_DEFAULT_NURSERY};
+use qoa_fuzz::oracle::{chaos_options, ORACLE_FUEL};
+use qoa_fuzz::{generate_source, program_seed, GenConfig};
 use qoa_model::{Phase, RuntimeKind};
 use qoa_uarch::{ExecutionStats, OooCore, SimpleCore, UarchConfig};
-use qoa_workloads::{by_name, Scale};
+use qoa_workloads::{by_name, corpus_suite, Scale};
 
 /// Small tiny-scale programs: two short ones and `json_loads`, whose
 /// PyPy-model runs collect the nursery several times at `NURSERY`.
@@ -185,4 +189,43 @@ fn streamed_cells_under_chaos_equal_their_fault_free_twins() {
         injected += outcome.restores;
     }
     assert!(injected > 0, "no fault was recovered by restore; the test is vacuous");
+}
+
+/// The fuzz oracle's strict pair, run as `differential` runs it: the
+/// `interp-elided` twin and the chaos tier, each streamed into a simple
+/// core, over the first 12 programs of the CI sweep (seed 7) and the
+/// corpus anchors.
+#[test]
+fn fuzz_oracle_strict_pair_streams_match_capture_and_replay() {
+    let uarch = UarchConfig::skylake();
+    let mut rt = RuntimeConfig::new(RuntimeKind::CPython);
+    rt.max_steps = ORACLE_FUEL;
+    let cfg = GenConfig::default();
+    let generated = (0..12u64).map(|index| {
+        let seed = program_seed(7, index);
+        (format!("gen-{index:05}"), seed, generate_source(seed, &cfg))
+    });
+    let anchors =
+        corpus_suite().iter().map(|w| (format!("corpus-{}", w.name), 0, w.source(Scale::Tiny)));
+    let (mut injected, mut restores) = (0, 0);
+    for (name, seed, src) in generated.chain(anchors) {
+        let (twin, vm, ..) = run_with_sink(&src, &rt, SimpleCore::new(&uarch)).expect("twin");
+        let twin = twin.finish();
+        let captured = capture(&src, &rt).expect("capture");
+        assert_eq!(twin, captured.trace.simulate_simple(&uarch), "{name}: streamed twin");
+
+        let opts = chaos_options(seed, vm.bytecodes.max(1));
+        let ((chaos, ..), outcome) =
+            run_chaos_with_sink(&src, &rt, &opts, SimpleCore::new(&uarch)).expect("chaos run");
+        let chaos = chaos.finish();
+        let (captured, _) = capture_chaos(&src, &rt, &opts).expect("chaos capture");
+        assert_eq!(chaos, captured.trace.simulate_simple(&uarch), "{name}: streamed chaos tier");
+        assert_eq!(chaos, twin, "{name}: chaos tier vs its fault-free twin");
+        injected += outcome.faults_injected_total();
+        restores += outcome.restores;
+    }
+    assert!(
+        injected > 0 && restores > 0,
+        "the strict check compared only trivial runs: {injected} faults, {restores} restores"
+    );
 }
