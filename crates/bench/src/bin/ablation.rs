@@ -23,8 +23,8 @@ use qoa_core::runtime::RuntimeConfig;
 use qoa_core::sweeps::{format_bytes, NURSERY_SIZES_SCALED};
 use qoa_core::{QoaError, SupervisedCell};
 use qoa_jit::JitConfig;
-use qoa_model::{Category, OpKind, RuntimeKind};
-use qoa_uarch::{OooCore, TraceBuffer, UarchConfig};
+use qoa_model::{Category, MicroOp, OpKind, OpSink, RuntimeKind};
+use qoa_uarch::{OooCore, OooFanout, UarchConfig};
 use qoa_workloads::{by_name, Scale, Workload};
 
 /// Ablation 1 workloads.
@@ -74,9 +74,27 @@ fn jit_stage_cell(
     Ok(m)
 }
 
-/// Ablation 2 cell: one CPython capture, scanned for the indirect share
-/// of the C-call ops and replayed once through a fan-out of the tiny,
-/// baseline and huge BTB.
+/// Counts the C-function-call ops of a stream and the indirect control
+/// transfers among them.
+#[derive(Debug, Clone, Default)]
+struct IndirectShare {
+    ccall_ops: u64,
+    ccall_indirect: u64,
+}
+
+impl OpSink for IndirectShare {
+    fn op(&mut self, op: MicroOp) {
+        if op.category == Category::CFunctionCall {
+            self.ccall_ops += 1;
+            if matches!(op.kind, OpKind::Call { indirect: true, .. } | OpKind::Ret) {
+                self.ccall_indirect += 1;
+            }
+        }
+    }
+}
+
+/// Ablation 2 cell: one CPython run streamed into the indirect-share
+/// counter and a fan-out of the tiny, baseline and huge BTB.
 fn btb_cell(
     w: &Workload,
     scale: Scale,
@@ -85,32 +103,23 @@ fn btb_cell(
     deadline: Option<Instant>,
 ) -> Result<CellMetrics, QoaError> {
     let rt = RuntimeConfig::new(RuntimeKind::CPython).with_deadline(deadline);
-    let (trace, ..) = run_cell(&w.source(scale), &rt, chaos, key, TraceBuffer::new())?;
-    // Instruction-level share: indirect call/branch ops within the
-    // C-function-call category (paper: 11.9% average).
-    let mut ccall_ops = 0u64;
-    let mut ccall_indirect = 0u64;
-    for op in trace.ops() {
-        if op.category == Category::CFunctionCall {
-            ccall_ops += 1;
-            if matches!(op.kind, OpKind::Call { indirect: true, .. } | OpKind::Ret) {
-                ccall_indirect += 1;
-            }
-        }
-    }
     let btb = |entries| {
         let mut cfg = UarchConfig::skylake();
         cfg.branch.btb_entries = entries;
         cfg
     };
-    let stats = trace.simulate_ooo_fanout(&[btb(16), UarchConfig::skylake(), btb(1 << 16)]);
+    let fan = OooFanout::new(&[btb(16), UarchConfig::skylake(), btb(1 << 16)]);
+    let ((share, fan), ..) =
+        run_cell(&w.source(scale), &rt, chaos, key, (IndirectShare::default(), fan))?;
     let mut m = CellMetrics::new();
-    for (name, s) in ["cpi_tiny", "cpi_base", "cpi_huge"].into_iter().zip(&stats) {
+    for (name, s) in ["cpi_tiny", "cpi_base", "cpi_huge"].into_iter().zip(fan.finish()) {
         m.insert(name.into(), Metric::Num(s.cpi()));
     }
+    // Instruction-level share: indirect call/branch ops within the
+    // C-function-call category (paper: 11.9% average).
     m.insert(
         "indirect_share".into(),
-        Metric::Num(ccall_indirect as f64 / ccall_ops.max(1) as f64),
+        Metric::Num(share.ccall_indirect as f64 / share.ccall_ops.max(1) as f64),
     );
     Ok(m)
 }

@@ -2,12 +2,13 @@
 //! for CPython, PyPy w/o JIT and PyPy w/ JIT, with the PyPy execution
 //! additionally split into bytecode-interpreter / GC / JIT-code phases.
 //!
-//! Each (benchmark, run-time) trace is captured once and replayed once per
-//! parameter, through an OOO fan-out with a lane per sweep point. Defaults to the paper's Fig. 8
-//! benchmark subset; pass `--all` for the full 48.
+//! Each (benchmark, run-time) pair runs once, streamed into an OOO
+//! fan-out with a lane per sweep point of all six parameters; no trace is
+//! stored. Defaults to the paper's Fig. 8 benchmark subset; pass `--all`
+//! for the full 48.
 
 use qoa_bench::{cell_chaos, cli, emit, harness, prewarm, sweep_subset, Cli, NA};
-use qoa_core::harness::{shared_trace_cache, sweep_param_cell, sweep_param_spec};
+use qoa_core::harness::{sweep_param_cell, sweep_specs};
 use qoa_core::report::{f3, Table};
 use qoa_core::runtime::RuntimeConfig;
 use qoa_core::sweeps::{SweepParam, SCALED_DEFAULT_NURSERY};
@@ -43,21 +44,17 @@ fn main() {
     let runtimes = [RuntimeKind::CPython, RuntimeKind::PyPyNoJit, RuntimeKind::PyPyJit];
     let base = UarchConfig::skylake();
 
-    let chaos = cell_chaos(&cli);
-    let mut specs = Vec::new();
-    for &kind in &runtimes {
-        let rt = RuntimeConfig::new(kind).with_nursery(SCALED_DEFAULT_NURSERY);
-        for &w in &suite {
-            let cache = shared_trace_cache();
-            for &param in SweepParam::ALL.iter() {
-                specs.push(sweep_param_spec(w, cli.scale, &rt, &base, param, &cache, chaos));
-            }
-        }
-    }
-    prewarm(&cli, &mut h, specs);
+    let pairs: Vec<_> = runtimes
+        .iter()
+        .flat_map(|&kind| {
+            let rt = RuntimeConfig::new(kind).with_nursery(SCALED_DEFAULT_NURSERY);
+            suite.iter().map(move |&w| (w, rt))
+        })
+        .collect();
+    prewarm(&cli, &mut h, sweep_specs(&pairs, cli.scale, &base, cell_chaos(&cli)));
 
-    // series[param][runtime]; the capture for a (benchmark, runtime) pair
-    // is shared across all six parameters via the trace cache.
+    // series[param][runtime]; one run of a (benchmark, runtime) pair
+    // yields all six parameters' cells through the pair slot.
     let mut series: Vec<Vec<Series>> = SweepParam::ALL
         .iter()
         .map(|p| runtimes.iter().map(|_| Series::new(p.values().len())).collect())
@@ -66,10 +63,10 @@ fn main() {
         let rt = RuntimeConfig::new(kind).with_nursery(SCALED_DEFAULT_NURSERY);
         for w in &suite {
             eprintln!("sweeping {} on {kind}...", w.name);
-            let mut trace_cache = None;
+            let mut pair_slot = None;
             for (pi, &param) in SweepParam::ALL.iter().enumerate() {
                 let Some(pts) =
-                    sweep_param_cell(&mut h, w, cli.scale, &rt, &base, param, &mut trace_cache)
+                    sweep_param_cell(&mut h, w, cli.scale, &rt, &base, param, &mut pair_slot)
                 else {
                     continue;
                 };

@@ -1,8 +1,11 @@
 //! Fig. 8: per-benchmark CPI bars under the microarchitecture sweeps,
 //! for PyPy with JIT on the paper's eight-benchmark subset.
+//!
+//! Each benchmark runs once, streamed into an OOO fan-out with a lane per
+//! sweep point of all six parameters; no trace is stored.
 
 use qoa_bench::{cell_chaos, cli, emit, harness, prewarm, sweep_subset, NA};
-use qoa_core::harness::{shared_trace_cache, sweep_param_cell, sweep_param_spec, SweepCellPoint};
+use qoa_core::harness::{sweep_param_cell, sweep_specs, SweepCellPoint};
 use qoa_core::report::{f3, Table};
 use qoa_core::runtime::RuntimeConfig;
 use qoa_core::sweeps::{SweepParam, SCALED_DEFAULT_NURSERY};
@@ -16,26 +19,19 @@ fn main() {
     let suite = sweep_subset(&cli, qoa_workloads::python_suite(), &FIG8_BENCHMARKS);
     let rt = RuntimeConfig::new(RuntimeKind::PyPyJit).with_nursery(SCALED_DEFAULT_NURSERY);
     let base = UarchConfig::skylake();
-    let chaos = cell_chaos(&cli);
-    let mut specs = Vec::new();
-    for &w in &suite {
-        let cache = shared_trace_cache();
-        for &param in SweepParam::ALL.iter() {
-            specs.push(sweep_param_spec(w, cli.scale, &rt, &base, param, &cache, chaos));
-        }
-    }
-    prewarm(&cli, &mut h, specs);
+    let pairs: Vec<_> = suite.iter().map(|&w| (w, rt)).collect();
+    prewarm(&cli, &mut h, sweep_specs(&pairs, cli.scale, &base, cell_chaos(&cli)));
 
-    // swept[workload][param] — the capture for a benchmark is shared
-    // across the six parameters via the trace cache.
+    // swept[workload][param] — one run of a benchmark yields all six
+    // parameters' cells through the pair slot.
     let mut swept: Vec<(&str, Vec<Option<Vec<SweepCellPoint>>>)> = Vec::new();
     for w in &suite {
         eprintln!("sweeping {}...", w.name);
-        let mut trace_cache = None;
+        let mut pair_slot = None;
         let per_param = SweepParam::ALL
             .iter()
             .map(|&param| {
-                sweep_param_cell(&mut h, w, cli.scale, &rt, &base, param, &mut trace_cache)
+                sweep_param_cell(&mut h, w, cli.scale, &rt, &base, param, &mut pair_slot)
             })
             .collect();
         swept.push((w.name, per_param));

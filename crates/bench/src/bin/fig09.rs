@@ -1,8 +1,11 @@
 //! Fig. 9: microarchitecture sweeps for the V8 preset over the
 //! JetStream-analog suite (average CPI line per parameter).
+//!
+//! Each benchmark runs once, streamed into an OOO fan-out with a lane per
+//! sweep point of all six parameters; no trace is stored.
 
 use qoa_bench::{cell_chaos, cli, emit, harness, prewarm, sweep_subset, NA};
-use qoa_core::harness::{shared_trace_cache, sweep_param_cell, sweep_param_spec};
+use qoa_core::harness::{sweep_param_cell, sweep_specs};
 use qoa_core::report::{f3, Table};
 use qoa_core::runtime::RuntimeConfig;
 use qoa_core::sweeps::{SweepParam, SCALED_DEFAULT_NURSERY};
@@ -27,27 +30,20 @@ fn main() {
     let suite = sweep_subset(&cli, qoa_workloads::jetstream_suite(), &SUBSET);
     let rt = RuntimeConfig::new(RuntimeKind::V8).with_nursery(SCALED_DEFAULT_NURSERY);
     let base = UarchConfig::skylake();
-    let chaos = cell_chaos(&cli);
-    let mut specs = Vec::new();
-    for &w in &suite {
-        let cache = shared_trace_cache();
-        for &param in SweepParam::ALL.iter() {
-            specs.push(sweep_param_spec(w, cli.scale, &rt, &base, param, &cache, chaos));
-        }
-    }
-    prewarm(&cli, &mut h, specs);
+    let pairs: Vec<_> = suite.iter().map(|&w| (w, rt)).collect();
+    prewarm(&cli, &mut h, sweep_specs(&pairs, cli.scale, &base, cell_chaos(&cli)));
 
-    // sums[param][point]; each benchmark's capture is shared across the
-    // six parameters via the trace cache.
+    // sums[param][point]; one run of a benchmark yields all six
+    // parameters' cells through the pair slot.
     let mut sums: Vec<Vec<f64>> =
         SweepParam::ALL.iter().map(|p| vec![0.0; p.values().len()]).collect();
     let mut counts = vec![0usize; SweepParam::ALL.len()];
     for w in &suite {
         eprintln!("sweeping {}...", w.name);
-        let mut trace_cache = None;
+        let mut pair_slot = None;
         for (pi, &param) in SweepParam::ALL.iter().enumerate() {
             let Some(pts) =
-                sweep_param_cell(&mut h, w, cli.scale, &rt, &base, param, &mut trace_cache)
+                sweep_param_cell(&mut h, w, cli.scale, &rt, &base, param, &mut pair_slot)
             else {
                 continue;
             };

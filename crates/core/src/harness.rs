@@ -23,15 +23,14 @@ use crate::executor::{
 };
 use crate::isolate::run_isolated;
 use crate::journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric, Supervision};
-use crate::runtime::{run_with_sink, trace_sink, RuntimeConfig, SinkRun};
-use crate::sweeps::SweepParam;
+use crate::runtime::{run_with_sink, RuntimeConfig, SinkRun};
+use crate::sweeps::{pair_configs, sweep_points, SweepParam};
 use crate::Breakdown;
 use qoa_chaos::FaultPlan;
 use qoa_model::{Category, CategoryMap, OpSink, Phase};
-use qoa_uarch::{OooCore, SimpleCore, TraceBuffer, UarchConfig};
+use qoa_uarch::{OooCore, OooFanout, SimpleCore, UarchConfig};
 use qoa_workloads::{Scale, Workload};
 use std::path::PathBuf;
-use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -348,11 +347,11 @@ pub struct CellChaos {
 ///
 /// This is the run primitive behind the spec builders; binaries with
 /// bespoke cells use it directly so `--chaos-seed` covers them too. A
-/// cell whose micro-ops have one consumer passes that core model as
-/// `sink` and never materializes a trace; a cell that replays many times
-/// passes a [`TraceBuffer`]. The plan seed depends only on the batch
-/// seed and the cell key, so the schedule is identical for any worker
-/// count.
+/// cell passes the core model that consumes its micro-ops as `sink` (an
+/// [`OooFanout`] when several configurations do, a tuple of sinks when
+/// several models do) and never materializes a trace. The plan seed
+/// depends only on the batch seed and the cell key, so the schedule is
+/// identical for any worker count.
 pub fn run_cell<S: OpSink + Clone>(
     source: &str,
     rt: &RuntimeConfig,
@@ -421,20 +420,56 @@ fn measure_breakdown(
     Ok(m)
 }
 
-/// Replays one captured trace across a parameter sweep and flattens the
-/// points into journal metrics.
-fn sweep_metrics(trace: &TraceBuffer, param: SweepParam, base: &UarchConfig) -> CellMetrics {
-    let mut m = CellMetrics::new();
-    for p in crate::sweeps::sweep_trace(trace, param, base) {
-        m.insert(format!("cpi@{}", p.value), Metric::Num(p.cpi));
-        m.insert(format!("interp@{}", p.value), Metric::Num(p.phase_cpi[Phase::Interpreter]));
-        m.insert(
-            format!("gc@{}", p.value),
-            Metric::Num(p.phase_cpi[Phase::GcMinor] + p.phase_cpi[Phase::GcMajor]),
-        );
-        m.insert(format!("jit@{}", p.value), Metric::Num(p.phase_cpi[Phase::JitCode]));
-    }
-    m
+/// The journal metrics of one (workload, run-time) pair's six sweep
+/// cells, in [`SweepParam::ALL`] order.
+pub type SweepPairMetrics = Vec<CellMetrics>;
+
+/// Runs `w` under `rt` once, streaming it into an [`OooFanout`] over the
+/// pair's 36 sweep configurations, and flattens each parameter's points
+/// into its cell's journal metrics.
+fn measure_sweep_pair(
+    w: &Workload,
+    scale: Scale,
+    rt: &RuntimeConfig,
+    base: &UarchConfig,
+    deadline: Option<Instant>,
+    chaos: Option<CellChaos>,
+    key: &CellKey,
+) -> Result<SweepPairMetrics, QoaError> {
+    let rt = rt.with_deadline(deadline);
+    let fan = OooFanout::new(&pair_configs(base));
+    let (fan, ..) = run_cell(&w.source(scale), &rt, chaos, key, fan)?;
+    let mut lanes = fan.finish().into_iter();
+    let pair = SweepParam::ALL.iter().map(|&param| {
+        let mut m = CellMetrics::new();
+        for p in sweep_points(param, lanes.by_ref()) {
+            m.insert(format!("cpi@{}", p.value), Metric::Num(p.cpi));
+            m.insert(format!("interp@{}", p.value), Metric::Num(p.phase_cpi[Phase::Interpreter]));
+            m.insert(
+                format!("gc@{}", p.value),
+                Metric::Num(p.phase_cpi[Phase::GcMinor] + p.phase_cpi[Phase::GcMajor]),
+            );
+            m.insert(format!("jit@{}", p.value), Metric::Num(p.phase_cpi[Phase::JitCode]));
+        }
+        m
+    });
+    Ok(pair.collect())
+}
+
+/// One sweep cell's metrics from its pair's `slot`: the first cell to
+/// find the slot empty fills it through `measure`; on error the slot
+/// stays empty, so the next sibling measures again.
+fn pair_cell(
+    slot: &mut Option<SweepPairMetrics>,
+    param: SweepParam,
+    measure: impl FnOnce() -> Result<SweepPairMetrics, QoaError>,
+) -> Result<CellMetrics, QoaError> {
+    let pair = match slot {
+        Some(pair) => pair,
+        None => slot.insert(measure()?),
+    };
+    let index = SweepParam::ALL.iter().position(|&p| p == param).expect("a sweep parameter");
+    Ok(pair[index].clone())
 }
 
 /// One journaled nursery-sweep point: the [`NurseryPoint`]
@@ -624,11 +659,13 @@ pub struct SweepCellPoint {
 
 /// Runs (or resumes) one (workload, runtime, parameter) sweep cell.
 ///
-/// The expensive capture is shared across the six parameters of a
-/// figure via `trace_cache`: the first cell that actually needs to run
-/// captures the trace, later cells replay it. Fully-journaled cells
-/// never touch the cache, so a completed figure re-renders without a
-/// single guest execution.
+/// The pair's six cells share one guest run via `pair_slot`: the first
+/// cell that actually needs to run streams the pair into all 36 lanes,
+/// under its own cell deadline (`--deadline-secs` in the figure
+/// binaries), and fills the slot with every cell's metrics;
+/// later cells take their entry from it. Fully-journaled cells never
+/// touch the slot, so a completed figure re-renders without a single
+/// guest execution.
 pub fn sweep_param_cell(
     h: &mut Harness,
     w: &Workload,
@@ -636,22 +673,14 @@ pub fn sweep_param_cell(
     rt: &RuntimeConfig,
     base: &UarchConfig,
     param: SweepParam,
-    trace_cache: &mut Option<Rc<TraceBuffer>>,
+    pair_slot: &mut Option<SweepPairMetrics>,
 ) -> Option<Vec<SweepCellPoint>> {
     let key = CellKey::new(w.name, format!("{:?}", rt.kind), format!("{param:?}"), "sweep");
     let mkey = key.clone();
     let metrics = h.cell(key, |deadline| {
-        let trace = match trace_cache {
-            Some(t) => Rc::clone(t),
-            None => {
-                let rt = rt.with_deadline(deadline);
-                let (trace, ..) = run_cell(&w.source(scale), &rt, None, &mkey, trace_sink(&rt))?;
-                let t = Rc::new(trace);
-                *trace_cache = Some(Rc::clone(&t));
-                t
-            }
-        };
-        Ok(sweep_metrics(&trace, param, base))
+        pair_cell(pair_slot, param, || {
+            measure_sweep_pair(w, scale, rt, base, deadline, None, &mkey)
+        })
     })?;
     param
         .values()
@@ -668,51 +697,68 @@ pub fn sweep_param_cell(
         .collect()
 }
 
-/// The cross-thread trace cache shared by the sweep specs of one
+/// The cross-thread slot shared by the six sweep specs of one
 /// (workload, runtime) pair: whichever worker reaches the pair first
-/// captures the trace, the other parameters replay it. Capture is
-/// deterministic, so the cached trace is identical no matter which cell
+/// runs it and stores all six cells' metrics, the other parameters take
+/// theirs. The run is deterministic, and recovered chaos runs equal
+/// fault-free ones, so the metrics are identical no matter which cell
 /// won the race.
-pub type SharedTraceCache = Arc<Mutex<Option<Arc<TraceBuffer>>>>;
+pub type SharedPairMetrics = Arc<Mutex<Option<SweepPairMetrics>>>;
 
-/// A fresh, empty [`SharedTraceCache`].
-pub fn shared_trace_cache() -> SharedTraceCache {
+/// A fresh, empty [`SharedPairMetrics`] slot.
+pub fn shared_trace_cache() -> SharedPairMetrics {
     Arc::new(Mutex::new(None))
 }
 
 /// The parallel-executor form of [`sweep_param_cell`]: same key, same
-/// measurement, with the per-pair capture shared through `trace_cache`.
+/// measurement, with the pair's run shared through `pair_slot`. The
+/// cell that runs the pair does so under its own `chaos` plan (seeded
+/// from its own key) and its own deadline.
 pub fn sweep_param_spec(
     w: &'static Workload,
     scale: Scale,
     rt: &RuntimeConfig,
     base: &UarchConfig,
     param: SweepParam,
-    trace_cache: &SharedTraceCache,
+    pair_slot: &SharedPairMetrics,
     chaos: Option<CellChaos>,
 ) -> SupervisedCell<CellMetrics> {
     let key = CellKey::new(w.name, format!("{:?}", rt.kind), format!("{param:?}"), "sweep");
     let rt = *rt;
     let base = base.clone();
-    let cache = Arc::clone(trace_cache);
+    let slot = Arc::clone(pair_slot);
     let mkey = key.clone();
     SupervisedCell::new(key, move |deadline| {
-        // Holding the lock across capture also deduplicates it: sibling
-        // params of the same pair wait instead of re-capturing.
-        let mut slot = cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let trace = match &*slot {
-            Some(t) => Arc::clone(t),
-            None => {
-                let rt = rt.with_deadline(deadline);
-                let (trace, ..) = run_cell(&w.source(scale), &rt, chaos, &mkey, trace_sink(&rt))?;
-                let t = Arc::new(trace);
-                *slot = Some(Arc::clone(&t));
-                t
-            }
-        };
-        drop(slot);
-        Ok(sweep_metrics(&trace, param, &base))
+        // Holding the lock across the run also deduplicates it: sibling
+        // params of the same pair wait instead of re-running it.
+        let mut slot = slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        pair_cell(&mut slot, param, || {
+            measure_sweep_pair(w, scale, &rt, &base, deadline, chaos, &mkey)
+        })
     })
+}
+
+/// The sweep specs of several (workload, runtime) pairs, one slot per
+/// pair, submitted parameter-major: every pair's first parameter, then
+/// every pair's second, and so on. The first cell of a pair does the
+/// whole pair's work, so this order has N workers run N different
+/// pairs, and the later parameters find their slots filled instead of
+/// blocking on a sibling's run.
+pub fn sweep_specs(
+    pairs: &[(&'static Workload, RuntimeConfig)],
+    scale: Scale,
+    base: &UarchConfig,
+    chaos: Option<CellChaos>,
+) -> Vec<SupervisedCell<CellMetrics>> {
+    let slots: Vec<SharedPairMetrics> = pairs.iter().map(|_| shared_trace_cache()).collect();
+    SweepParam::ALL
+        .iter()
+        .flat_map(|&param| {
+            pairs.iter().zip(&slots).map(move |((w, rt), slot)| {
+                sweep_param_spec(w, scale, rt, base, param, slot, chaos)
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -796,6 +842,23 @@ mod tests {
         });
         assert_eq!(h.finish(), 1, "100% failures must exit nonzero");
         let _ = std::fs::remove_dir_all(&dir2);
+    }
+
+    #[test]
+    fn a_failed_pair_run_leaves_the_slot_for_the_next_sibling() {
+        let mut slot = None;
+        let failed = pair_cell(&mut slot, SweepParam::IssueWidth, || {
+            Err(QoaError::DeadlineExceeded { steps: 1 })
+        });
+        assert!(failed.is_err());
+        assert!(slot.is_none(), "a failed run must not fill the slot");
+        let pair: SweepPairMetrics = (0..SweepParam::ALL.len())
+            .map(|i| CellMetrics::from([("i".to_string(), Metric::Int(i as i64))]))
+            .collect();
+        let got = pair_cell(&mut slot, SweepParam::CacheSize, || Ok(pair.clone()));
+        assert_eq!(got.expect("the retry runs"), pair[2]);
+        let got = pair_cell(&mut slot, SweepParam::MemBandwidth, || panic!("slot is filled"));
+        assert_eq!(got.expect("taken from the slot"), pair[5]);
     }
 
     #[test]

@@ -69,8 +69,8 @@ pub use transport::{Delivery, NodeId, Transport, VirtualRetryPolicy};
 pub use harness::{
     best_nursery_cell, breakdown_cell, breakdown_spec, nursery_cell, nursery_cells,
     nursery_cells_tagged, nursery_spec, shared_trace_cache, sweep_param_cell, sweep_param_spec,
-    CellChaos, FailureNote, Harness, HarnessOptions, NurseryCell, SharedTraceCache,
-    SweepCellPoint,
+    sweep_specs, CellChaos, FailureNote, Harness, HarnessOptions, NurseryCell, SharedPairMetrics,
+    SweepCellPoint, SweepPairMetrics,
 };
 pub use isolate::{run_isolated, RunFailure, RunOutcome};
 pub use journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric, JOURNAL_VERSION};

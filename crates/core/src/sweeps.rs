@@ -1,9 +1,11 @@
 //! Parameter sweeps: the §V methodology.
 //!
-//! Microarchitecture sweeps (Fig. 7–9) capture each (workload, run-time)
-//! trace once and replay it once per parameter through a fan-out of the
-//! out-of-order model, one lane per hardware configuration — timing never
-//! feeds back into run-time behaviour, exactly as with Pin + ZSim.
+//! Microarchitecture sweeps (Fig. 7–9) run each (workload, run-time) pair
+//! once, streaming its micro-ops into a fan-out of the out-of-order model
+//! with one lane per hardware configuration of all six parameters
+//! (`pair_configs`) — timing never feeds back into run-time behaviour,
+//! and no trace is stored, exactly as with Pin + ZSim online.
+//! [`sweep_trace`] replays a captured trace through one parameter's lanes.
 //! Nursery sweeps (Fig. 10–17) re-*execute* the program per nursery size,
 //! because the nursery changes GC behaviour itself; each such run streams
 //! straight into the OOO core, with no trace in between.
@@ -78,6 +80,12 @@ impl SweepParam {
         }
     }
 
+    /// The configurations of this parameter's sweep: `base` with each
+    /// of [`SweepParam::values`] applied, in order.
+    pub fn configs(self, base: &UarchConfig) -> Vec<UarchConfig> {
+        self.values().into_iter().map(|value| self.apply(base, value)).collect()
+    }
+
     /// Axis label matching the paper's panels.
     pub fn label(self) -> &'static str {
         match self {
@@ -128,15 +136,31 @@ pub struct SweepPoint {
 /// Replays one captured trace across a parameter sweep (OOO core): one
 /// pass drives a lane per sweep value (see [`qoa_uarch::OooFanout`]).
 pub fn sweep_trace(trace: &TraceBuffer, param: SweepParam, base: &UarchConfig) -> Vec<SweepPoint> {
-    let values = param.values();
-    let cfgs: Vec<UarchConfig> = values.iter().map(|&value| param.apply(base, value)).collect();
-    values
+    sweep_points(param, trace.simulate_ooo_fanout(&param.configs(base)))
+}
+
+/// Every configuration of a (workload, run-time) pair's sweep: each
+/// parameter's [`SweepParam::configs`], in [`SweepParam::ALL`] order
+/// (36 in all).
+pub(crate) fn pair_configs(base: &UarchConfig) -> Vec<UarchConfig> {
+    SweepParam::ALL.iter().flat_map(|p| p.configs(base)).collect()
+}
+
+/// Pairs `param`'s sweep values, in order, with the statistics of their
+/// fan-out lanes. Takes exactly as many statistics as there are values,
+/// so the lanes of a [`pair_configs`] fan-out split parameter by
+/// parameter through one `by_ref` iterator.
+pub(crate) fn sweep_points(
+    param: SweepParam,
+    lanes: impl IntoIterator<Item = ExecutionStats>,
+) -> Vec<SweepPoint> {
+    param
+        .values()
         .into_iter()
-        .zip(trace.simulate_ooo_fanout(&cfgs))
+        .zip(lanes)
         .map(|(value, stats)| {
             let instr = stats.instructions.max(1) as f64;
-            let phase_cpi =
-                PhaseMap::from_fn(|p| stats.cycles_by_phase[p] as f64 / instr);
+            let phase_cpi = PhaseMap::from_fn(|p| stats.cycles_by_phase[p] as f64 / instr);
             SweepPoint { value, cpi: stats.cpi(), phase_cpi, stats }
         })
         .collect()

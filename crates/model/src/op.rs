@@ -255,6 +255,23 @@ impl<S: OpSink + ?Sized> OpSink for &mut S {
     }
 }
 
+/// Two sinks fed the same stream: every op, phase change and frame event
+/// goes to the first, then to the second.
+impl<A: OpSink, B: OpSink> OpSink for (A, B) {
+    fn op(&mut self, op: MicroOp) {
+        self.0.op(op);
+        self.1.op(op);
+    }
+    fn phase_change(&mut self, phase: Phase) {
+        self.0.phase_change(phase);
+        self.1.phase_change(phase);
+    }
+    fn frame_event(&mut self, event: &FrameEvent) {
+        self.0.frame_event(event);
+        self.1.frame_event(event);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,5 +315,38 @@ mod tests {
         assert_eq!(s.branches, 1);
         assert_eq!(s.indirect, 1);
         assert_eq!(s.by_phase[Phase::Interpreter], 4);
+    }
+
+    /// Records every hook it sees, in order.
+    #[derive(Default)]
+    struct Log(Vec<String>);
+
+    impl OpSink for Log {
+        fn op(&mut self, op: MicroOp) {
+            self.0.push(format!("op {:?}", op.pc));
+        }
+        fn phase_change(&mut self, phase: Phase) {
+            self.0.push(format!("phase {phase:?}"));
+        }
+        fn frame_event(&mut self, event: &FrameEvent) {
+            self.0.push(format!("frame {event:?}"));
+        }
+    }
+
+    #[test]
+    fn sink_pairs_forward_every_hook_to_both_sinks() {
+        let mut pair = (Log::default(), Log::default());
+        pair.op(MicroOp {
+            pc: Pc(7),
+            kind: OpKind::Alu,
+            category: Category::Execute,
+            phase: Phase::Interpreter,
+        });
+        pair.phase_change(Phase::GcMinor);
+        pair.frame_event(&FrameEvent::Line { line: 3 });
+        pair.frame_event(&FrameEvent::Pop);
+        let want = ["op Pc(7)", "phase GcMinor", "frame Line { line: 3 }", "frame Pop"];
+        assert_eq!(pair.0 .0, want);
+        assert_eq!(pair.1 .0, want);
     }
 }

@@ -15,7 +15,8 @@
 //!   write-allocate, backed by a bandwidth-limited [`Dram`] channel.
 //! * [`BranchUnit`] — two-level direction predictor + BTB + return stack,
 //!   sweepable between 0.5× and 8× of the Table I sizing.
-//! * [`TraceBuffer`] — capture a run once, replay it under many configs.
+//! * [`TraceBuffer`] — capture a run once, replay it under many configs
+//!   (the sweeps stream into an [`OooFanout`] instead).
 //!
 //! # Example
 //!

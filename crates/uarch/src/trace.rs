@@ -1,11 +1,11 @@
 //! Trace capture and replay.
 //!
-//! The paper's microarchitecture sweeps (Fig. 7–9) re-simulate the *same*
-//! program execution under many hardware configurations. Because simulated
-//! timing never feeds back into run-time behaviour (just as with Pin+ZSim),
-//! the micro-op stream can be captured once per (benchmark, run-time) pair
-//! and replayed through each configuration — the standard trace-driven
-//! simulation methodology.
+//! Because simulated timing never feeds back into run-time behaviour (just
+//! as with Pin+ZSim), a captured micro-op stream can be replayed through
+//! any number of configurations — the standard trace-driven simulation
+//! methodology. The figure sweeps (Fig. 7–9) no longer need it: they
+//! stream each run straight into an [`OooFanout`]. Traces remain for
+//! re-delivery, such as frame-event replay into the profiler.
 
 use crate::stats::ExecutionStats;
 use crate::{OooFanout, SimpleCore, UarchConfig};

@@ -6,25 +6,28 @@
 //! routes must produce the same `ExecutionStats`, field for field, under
 //! every run-time — and a streamed cell recovered from seeded faults must
 //! equal its fault-free twin, because each checkpoint clones the core
-//! along with the machine. A µarch sweep replays one capture through a
-//! fan-out of OOO lanes, and each lane must equal a core streamed from a
-//! run of its own. The fuzz oracle's strict chaos check streams its
-//! fault-free twin and its chaos tier into simple cores, and each stream
-//! must equal a replay of the trace it used to capture.
+//! along with the machine. A replay of one capture through a fan-out of
+//! OOO lanes must give, in each lane, what a core streamed from a run of
+//! its own gives. The sweep cells stream one run per pair into all 36
+//! lanes and must journal exactly what replaying a capture parameter by
+//! parameter gives, at any worker count and under seeded faults. The
+//! fuzz oracle's strict chaos check streams its fault-free twin and its
+//! chaos tier into simple cores, and each stream must equal a replay of
+//! the trace it used to capture.
 
 use qoa_chaos::FaultPlan;
-use qoa_core::harness::{run_cell, CellChaos};
+use qoa_core::harness::{run_cell, sweep_specs, CellChaos};
 use qoa_core::{
     breakdown_cell, capture, capture_chaos, cell_seed, fault_kinds_for, nursery_cell,
-    run_chaos_with_sink, run_with_sink, Breakdown, CellKey, ChaosOptions, Harness,
-    HarnessOptions, RuntimeConfig, SinkRun,
+    run_chaos_with_sink, run_with_sink, Breakdown, CellKey, CellMetrics, ChaosOptions,
+    ExecutorOptions, Harness, HarnessOptions, Metric, RuntimeConfig, SinkRun,
 };
 use qoa_core::sweeps::{fig7_runtimes, sweep_trace, SweepParam, SCALED_DEFAULT_NURSERY};
 use qoa_fuzz::oracle::{chaos_options, ORACLE_FUEL};
 use qoa_fuzz::{generate_source, program_seed, GenConfig};
-use qoa_model::{Phase, RuntimeKind};
+use qoa_model::{NullSink, Phase, RuntimeKind};
 use qoa_uarch::{ExecutionStats, OooCore, SimpleCore, UarchConfig};
-use qoa_workloads::{by_name, corpus_suite, Scale};
+use qoa_workloads::{by_name, corpus_suite, Scale, Workload};
 
 /// Small tiny-scale programs: two short ones and `json_loads`, whose
 /// PyPy-model runs collect the nursery several times at `NURSERY`.
@@ -114,6 +117,105 @@ fn sweep_points_match_streamed_single_configuration_cores() {
             }
         }
     }
+}
+
+/// The key of one sweep cell, as the harness journals it.
+fn sweep_key(w: &Workload, rt: &RuntimeConfig, param: SweepParam) -> CellKey {
+    CellKey::new(w.name, format!("{:?}", rt.kind), format!("{param:?}"), "sweep")
+}
+
+/// The six sweep cells of every pair, prewarmed through the executor
+/// with `jobs` workers, as journaled: pair by pair, in
+/// [`SweepParam::ALL`] order.
+fn prewarmed_sweep(
+    pairs: &[(&'static Workload, RuntimeConfig)],
+    jobs: usize,
+    chaos: Option<CellChaos>,
+    tag: &str,
+) -> Vec<CellMetrics> {
+    let dir = std::env::temp_dir().join(format!("qoa-sweep-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut opts = HarnessOptions::new("sweep", "tiny");
+    opts.journal_dir = dir.clone();
+    let mut h = Harness::open(opts).expect("open harness");
+    let specs = sweep_specs(pairs, Scale::Tiny, &UarchConfig::skylake(), chaos);
+    h.prewarm(specs, &ExecutorOptions::new(jobs));
+    let cells = pairs
+        .iter()
+        .flat_map(|(w, rt)| SweepParam::ALL.map(|param| sweep_key(w, rt, param)))
+        .map(|key| {
+            let name = format!("{key:?}");
+            h.cell(key, |_| panic!("{name} was not prewarmed")).expect("the cell succeeded")
+        })
+        .collect();
+    assert!(h.failures().is_empty(), "{:?}", h.failures());
+    let _ = std::fs::remove_dir_all(&dir);
+    cells
+}
+
+#[test]
+fn sweep_cells_journal_what_replaying_a_capture_gives() {
+    let base = UarchConfig::skylake();
+    let pairs: Vec<(&'static Workload, RuntimeConfig)> = ["regex_compile", "dulwich_log"]
+        .into_iter()
+        .flat_map(|name| {
+            let w = by_name(name).expect("workload");
+            fig7_runtimes().map(move |rt| (w, rt.with_nursery(SCALED_DEFAULT_NURSERY)))
+        })
+        .collect();
+    let mut want = Vec::new();
+    let mut horizon = u64::MAX;
+    for (w, rt) in &pairs {
+        let captured = capture(&w.source(Scale::Tiny), rt).expect("capture");
+        horizon = horizon.min(captured.vm.bytecodes);
+        for param in SweepParam::ALL {
+            let mut m = CellMetrics::new();
+            for p in sweep_trace(&captured.trace, param, &base) {
+                let phase = |ph: Phase| p.phase_cpi[ph];
+                let gc = phase(Phase::GcMinor) + phase(Phase::GcMajor);
+                m.insert(format!("cpi@{}", p.value), Metric::Num(p.cpi));
+                m.insert(format!("interp@{}", p.value), Metric::Num(phase(Phase::Interpreter)));
+                m.insert(format!("gc@{}", p.value), Metric::Num(gc));
+                m.insert(format!("jit@{}", p.value), Metric::Num(phase(Phase::JitCode)));
+            }
+            want.push(m);
+        }
+    }
+    let labels: Vec<String> = pairs
+        .iter()
+        .flat_map(|(w, rt)| SweepParam::ALL.map(|p| format!("{} {:?} {p:?}", w.name, rt.kind)))
+        .collect();
+    let check = |got: Vec<CellMetrics>, how: &str| {
+        for ((got, want), label) in got.iter().zip(&want).zip(&labels) {
+            assert_eq!(got, want, "{label}: {how}");
+        }
+    };
+    check(prewarmed_sweep(&pairs, 1, None, "j1"), "--jobs 1");
+    check(prewarmed_sweep(&pairs, 2, None, "j2"), "--jobs 2");
+
+    // Under seeded faults, each pair runs under the plan of whichever of
+    // its cells gets there first, and must still equal its fault-free twin.
+    let chaos = CellChaos { seed: 7, horizon, points: 3 };
+    check(prewarmed_sweep(&pairs, 2, Some(chaos), "chaos"), "chaos --jobs 2");
+    // Parameter-major submission runs each pair under its first
+    // parameter's plan; see that those plans really restored the machine.
+    let restores: u64 = pairs
+        .iter()
+        .map(|(w, rt)| {
+            let key = sweep_key(w, rt, SweepParam::ALL[0]);
+            let plan = FaultPlan::seeded(
+                cell_seed(chaos.seed, &key),
+                chaos.horizon,
+                chaos.points,
+                fault_kinds_for(rt.kind),
+            );
+            let src = w.source(Scale::Tiny);
+            let (_, outcome) = run_chaos_with_sink(&src, rt, &ChaosOptions::new(plan), NullSink)
+                .expect("chaos run");
+            outcome.restores
+        })
+        .sum();
+    assert!(restores > 0, "no fault was recovered by restore; the chaos check is vacuous");
 }
 
 #[test]
